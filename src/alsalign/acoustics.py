@@ -56,7 +56,7 @@ class Venue:
         object.__setattr__(self, "seats", tuple(self.seats))
         if not self.loudspeakers:
             raise ValueError("venue needs at least one loudspeaker")
-        if self.speed_of_sound_m_per_s <= 0:
+        if not 0 < self.speed_of_sound_m_per_s < math.inf:
             raise ValueError(f"speed of sound must be > 0, got {self.speed_of_sound_m_per_s}")
         ids = [s.id for s in self.seats]
         if len(ids) != len(set(ids)):
@@ -84,11 +84,14 @@ class SeatDelay:
 
 def propagation_delay_ms(distance_m: float, speed_m_per_s: float = SPEED_OF_SOUND_M_PER_S) -> float:
     """Time for sound to travel distance_m, in milliseconds."""
-    if distance_m < 0:
+    if not 0 <= distance_m < math.inf:
         raise ValueError(f"distance_m must be >= 0, got {distance_m}")
-    if speed_m_per_s <= 0:
+    if not 0 < speed_m_per_s < math.inf:
         raise ValueError(f"speed must be > 0, got {speed_m_per_s}")
-    return 1000.0 * distance_m / speed_m_per_s
+    delay = 1000.0 * distance_m / speed_m_per_s
+    if delay == math.inf:
+        raise ValueError(f"propagation delay over {distance_m} m overflows")
+    return delay
 
 
 def seat_acoustic_delay_ms(venue: Venue, seat_id: str) -> float:
@@ -108,19 +111,20 @@ def delay_map(venue: Venue) -> list[SeatDelay]:
     return rows
 
 
-def _require_keys(entry: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _require_keys(entry, allowed: set[str], required: set[str], what: str) -> None:
+    """Reject a config entry that is not a JSON object or has unknown or missing keys."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} must be a JSON object")
     for key in entry:
         if key not in allowed:
             raise ValueError(f"unknown key {key!r} in {what}")
-    for key in required:
+    for key in sorted(required):
         if key not in entry:
             raise ValueError(f"missing key {key!r} in {what}")
 
 
 def venue_from_dict(data: dict) -> Venue:
     """Build a Venue from the JSON config schema; unknown keys are rejected."""
-    if not isinstance(data, dict):
-        raise ValueError("venue config must be a JSON object")
     _require_keys(
         data,
         {"speed_of_sound_m_per_s", "loudspeakers", "seats"},

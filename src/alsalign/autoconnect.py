@@ -8,6 +8,7 @@ as the listener's local alignment delay.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,10 +120,12 @@ def estimate_alignment_delay(mic: Signal, stream: Signal, max_lag_ms: float) -> 
     one-sided (lag >= 0): the broadcast always precedes the acoustic
     signal here.
     """
-    if max_lag_ms < 0:
+    if not 0 <= max_lag_ms < math.inf:
         raise ValueError(f"max_lag_ms must be >= 0, got {max_lag_ms}")
-    max_lag = round(max_lag_ms * mic.sample_rate_hz / 1000.0)
-    curve = _ncc_curve(mic, stream, max_lag)
+    max_lag = max_lag_ms * mic.sample_rate_hz / 1000.0
+    if max_lag == math.inf:
+        raise ValueError(f"max_lag_ms {max_lag_ms} overflows at {mic.sample_rate_hz} Hz")
+    curve = _ncc_curve(mic, stream, round(max_lag))
     best = int(np.argmax(curve))  # argmax returns the first (smallest) lag on ties
     return best * 1000.0 / mic.sample_rate_hz, float(curve[best])
 

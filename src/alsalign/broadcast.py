@@ -11,10 +11,11 @@ alignment delay.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .acoustics import SPEED_OF_SOUND_M_PER_S
+from .acoustics import SPEED_OF_SOUND_M_PER_S, _require_keys, propagation_delay_ms
 
 __all__ = [
     "SpecMode",
@@ -76,7 +77,7 @@ class AudioStreamDescriptor:
     airtime_fraction: float = DEFAULT_STREAM_AIRTIME
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
+        if not 0 < self.sample_rate_hz < math.inf:
             raise ValueError(f"stream {self.id}: sample_rate_hz must be > 0")
         if self.channels not in (1, 2):
             raise ValueError(f"stream {self.id}: channels must be 1 or 2, got {self.channels}")
@@ -96,7 +97,7 @@ class AdvertisingTrain:
     airtime_fraction: float = DEFAULT_TRAIN_AIRTIME
 
     def __post_init__(self):
-        if self.presentation_delay_ms < 0:
+        if not 0 <= self.presentation_delay_ms < math.inf:
             raise ValueError(f"train {self.id}: presentation_delay_ms must be >= 0")
         if not 0 <= self.airtime_fraction <= 1:
             raise ValueError(f"train {self.id}: airtime_fraction must be in [0, 1]")
@@ -131,9 +132,9 @@ class BroadcastSink:
     local_alignment_delay_ms: float = 0.0
 
     def __post_init__(self):
-        if self.max_presentation_delay_ms <= 0:
+        if not 0 < self.max_presentation_delay_ms < math.inf:
             raise ValueError("max_presentation_delay_ms must be > 0")
-        if self.local_alignment_delay_ms < 0:
+        if not 0 <= self.local_alignment_delay_ms < math.inf:
             raise ValueError("local_alignment_delay_ms must be >= 0")
 
     def with_local_delay(self, local_alignment_delay_ms: float) -> "BroadcastSink":
@@ -186,7 +187,7 @@ def sink_apply_delays(sink: BroadcastSink, presentation_delay_ms: float, mode: S
     capped at min(sink buffer, 40 ms). Amended: presentation plus local
     delay must fit the sink buffer.
     """
-    if presentation_delay_ms < 0:
+    if not 0 <= presentation_delay_ms < math.inf:
         raise ValueError(f"presentation_delay_ms must be >= 0, got {presentation_delay_ms}")
     if mode is SpecMode.STRICT:
         if sink.local_alignment_delay_ms > 0:
@@ -212,11 +213,11 @@ def transport_propagation_delay_ms(
     kind: TransportKind, distance_m: float, speed_of_sound: float = SPEED_OF_SOUND_M_PER_S
 ) -> float:
     """Transport delay to the listener: 0 for radio, sound-speed for ultrasound."""
-    if distance_m < 0:
+    if not 0 <= distance_m < math.inf:
         raise ValueError(f"distance_m must be >= 0, got {distance_m}")
     if kind is TransportKind.ELECTROMAGNETIC:
         return 0.0
-    return 1000.0 * distance_m / speed_of_sound
+    return propagation_delay_ms(distance_m, speed_of_sound)
 
 
 def end_to_end_residual_ms(
@@ -239,20 +240,9 @@ def airtime_occupancy(source: BroadcastSource) -> float:
     )
 
 
-def _check_keys(entry: dict, allowed: set[str], required: set[str], what: str) -> None:
-    for key in entry:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in {what}")
-    for key in required:
-        if key not in entry:
-            raise ValueError(f"missing key {key!r} in {what}")
-
-
 def source_from_dict(data: dict) -> tuple[BroadcastSource, SpecMode | None]:
     """Parse the broadcast config schema; returns the source and the file's mode."""
-    if not isinstance(data, dict):
-        raise ValueError("broadcast config must be a JSON object")
-    _check_keys(data, {"mode", "transport", "streams", "trains"}, set(), "broadcast config")
+    _require_keys(data, {"mode", "transport", "streams", "trains"}, set(), "broadcast config")
     mode = None
     if "mode" in data:
         try:
@@ -265,7 +255,7 @@ def source_from_dict(data: dict) -> tuple[BroadcastSource, SpecMode | None]:
         raise ValueError(f"unknown transport {data['transport']!r} in broadcast config") from None
     streams = []
     for i, entry in enumerate(data.get("streams", [])):
-        _check_keys(
+        _require_keys(
             entry,
             {"id", "sample_rate_hz", "channels", "airtime_fraction"},
             {"id", "sample_rate_hz"},
@@ -281,7 +271,7 @@ def source_from_dict(data: dict) -> tuple[BroadcastSource, SpecMode | None]:
         )
     trains = []
     for i, entry in enumerate(data.get("trains", [])):
-        _check_keys(
+        _require_keys(
             entry,
             {"id", "target_stream_id", "presentation_delay_ms", "codec", "channels", "airtime_fraction"},
             {"id", "target_stream_id", "presentation_delay_ms"},

@@ -59,31 +59,29 @@ def _json_ready(value):
     return value
 
 
+def _write(path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_json(path, payload: dict) -> None:
-    text = json.dumps(_json_ready(payload), indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8", newline="\n")
+    _write(path, json.dumps(_json_ready(payload), indent=2) + "\n")
 
 
-def _load_venue(path) -> acoustics.Venue:
+def _load(loader, path, what: str):
+    """Run a JSON file loader, turning every input fault into a CliError naming the file."""
     try:
-        return acoustics.load_venue(path)
+        return loader(path)
     except FileNotFoundError:
-        raise CliError(f"venue file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"venue file {path} is not valid JSON: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"bad venue file {path}: {exc}") from None
-
-
-def _load_plan(path) -> planner.DelayPlan:
-    try:
-        return planner.load_plan(path)
-    except FileNotFoundError:
-        raise CliError(f"plan file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"plan file {path} is not valid JSON: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"bad plan file {path}: {exc}") from None
+        raise CliError(f"{what} not found: {path}") from None
+    except OSError as exc:
+        raise CliError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+        raise CliError(f"{what} {path} is not valid JSON: {exc}") from None
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise CliError(f"bad {what} {path}: {exc}") from None
 
 
 def parse_signal_source(spec: str) -> signals.Signal:
@@ -117,17 +115,14 @@ def _parse_mode(name: str) -> broadcast.SpecMode:
 
 
 def run_plan(venue_path: str, tolerance_ms: float, out_path: str) -> int:
-    venue = _load_venue(venue_path)
+    venue = _load(acoustics.load_venue, venue_path, "venue file")
     if not venue.seats:
         max_distance = 0.0
     else:
         max_distance = max(
             venue.nearest_loudspeaker_distance_m(s.position) for s in venue.seats
         )
-    try:
-        plan = planner.plan_zones(max_distance, tolerance_ms, venue.speed_of_sound_m_per_s)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    plan = planner.plan_zones(max_distance, tolerance_ms, venue.speed_of_sound_m_per_s)
     payload = _json_ready(planner.plan_to_dict(plan))
     # publish the span rounded up, so rounding never drops the farthest seat
     payload["zones"][-1]["delay_hi_ms"] = _ceil6(plan.span_ms)
@@ -144,12 +139,9 @@ MAP_HEADER = "seat_id,distance_m,acoustic_delay_ms,zone,presentation_delay_ms,re
 
 
 def run_map(venue_path: str, plan_path: str, out_path: str) -> int:
-    venue = _load_venue(venue_path)
-    plan = _load_plan(plan_path)
-    try:
-        report = planner.verify_plan(venue, plan)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    venue = _load(acoustics.load_venue, venue_path, "venue file")
+    plan = _load(planner.load_plan, plan_path, "plan file")
+    report = planner.verify_plan(venue, plan)
     lines = [MAP_HEADER]
     for row in report.seats:
         if row.covered:
@@ -172,7 +164,7 @@ def run_map(venue_path: str, plan_path: str, out_path: str) -> int:
                     (row.seat_id, fmt(row.distance_m), fmt(row.acoustic_delay_ms), "", "", "", "uncovered")
                 )
             )
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    _write(out_path, "\n".join(lines) + "\n")
     print(f"seats: {len(report.seats)}")
     print(f"max |residual|: {fmt(report.max_abs_residual_ms)} ms")
     if report.uncovered_seat_ids:
@@ -189,7 +181,7 @@ def run_simulate(
     seed: int,
     out_path: str,
 ) -> int:
-    venue = _load_venue(venue_path)
+    venue = _load(acoustics.load_venue, venue_path, "venue file")
     try:
         delay = acoustics.seat_acoustic_delay_ms(venue, seat_id)
     except KeyError as exc:
@@ -197,21 +189,17 @@ def run_simulate(
     presentation = 0.0  # uncompensated unless a plan zone covers the seat
     uncovered = False
     if plan_path is not None:
-        plan = _load_plan(plan_path)
+        plan = _load(planner.load_plan, plan_path, "plan file")
         try:
             presentation = planner.zone_for_delay(plan, delay).presentation_delay_ms
         except planner.UncoveredDelayError:
             uncovered = True
     residual = planner.residual_delay_ms(delay, presentation)
-    try:
-        program = signals.gen_white_noise(seed, SIMULATE_PROGRAM_MS, sample_rate_hz)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    program = signals.gen_white_noise(seed, SIMULATE_PROGRAM_MS, sample_rate_hz)
     ear = perception.ear_signal(program, program, residual, perception.MixSpec(1.0, 1.0))
     report = perception.DistortionReport(
         seat_id=seat_id,
         residual_ms=residual,
-        distortion=perception.classify_residual(residual),
         notch_frequencies_hz=tuple(perception.notch_frequencies(abs(residual), sample_rate_hz / 2.0)),
     )
     _write_json(
@@ -245,24 +233,18 @@ def run_autoconnect(
 ) -> int:
     mic = parse_signal_source(mic_source)
     if snr_db is not None:
-        try:
-            mic = signals.add_noise_snr(mic, snr_db, seed)
-        except ValueError as exc:
-            raise CliError(str(exc)) from None
+        mic = signals.add_noise_snr(mic, snr_db, seed)
     candidates = []
     for item in stream_sources:
         stream_id, sep, src = item.partition("=")
         if not sep or not stream_id or not src:
             raise CliError(f"bad --stream {item!r}: expected <id>=<source>")
         candidates.append(autoconnect.CandidateStream(stream_id, parse_signal_source(src)))
-    try:
-        sink = (
-            broadcast.BroadcastSink(sink_buffer_ms)
-            if sink_buffer_ms is not None
-            else broadcast.default_sink(mode)
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    sink = (
+        broadcast.BroadcastSink(sink_buffer_ms)
+        if sink_buffer_ms is not None
+        else broadcast.default_sink(mode)
+    )
     payload: dict = {"mode": mode.value}
     try:
         result, updated = autoconnect.autoconnect_pipeline(
@@ -270,8 +252,6 @@ def run_autoconnect(
         )
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     except broadcast.SinkDelayError as exc:
         payload.update(
             {
@@ -314,14 +294,7 @@ def run_autoconnect(
 
 
 def run_validate(config_path: str, mode_name: str | None) -> int:
-    try:
-        source, file_mode = broadcast.load_broadcast_config(config_path)
-    except FileNotFoundError:
-        raise CliError(f"broadcast config not found: {config_path}") from None
-    except json.JSONDecodeError as exc:
-        raise CliError(f"broadcast config {config_path} is not valid JSON: {exc}") from None
-    except (ValueError, KeyError, TypeError) as exc:
-        raise CliError(f"bad broadcast config {config_path}: {exc}") from None
+    source, file_mode = _load(broadcast.load_broadcast_config, config_path, "broadcast config")
     if mode_name is not None:
         mode = _parse_mode(mode_name)
     elif file_mode is not None:
@@ -417,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return run_validate(args.config, args.mode)
         raise CliError(f"unknown command {args.command!r}")
-    except CliError as exc:
+    except (CliError, ValueError) as exc:  # the library raises ValueError for every bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -28,6 +28,9 @@ ALIGNED_MAX_MS = 0.1
 COLORATION_MAX_MS = 5.0
 REVERBERATION_MAX_MS = 30.0
 
+# a delay of d seconds has about d * f notches below f; checked before the list is built
+_MAX_NOTCHES = 1_000_000
+
 
 class DistortionClass(Enum):
     ALIGNED = "aligned"
@@ -44,7 +47,7 @@ class MixSpec:
     acoustic_gain: float = 1.0
 
     def __post_init__(self):
-        if self.broadcast_gain < 0 or self.acoustic_gain < 0:
+        if not (0 <= self.broadcast_gain < math.inf and 0 <= self.acoustic_gain < math.inf):
             raise ValueError("gains must be >= 0")
 
 
@@ -52,16 +55,11 @@ class MixSpec:
 class DistortionReport:
     seat_id: str
     residual_ms: float
-    distortion: DistortionClass
     notch_frequencies_hz: tuple[float, ...]
 
-    def __post_init__(self):
-        expected = classify_residual(self.residual_ms)
-        if self.distortion is not expected:
-            raise ValueError(
-                f"class {self.distortion.value} does not match residual {self.residual_ms} ms "
-                f"(expected {expected.value})"
-            )
+    @property
+    def distortion(self) -> DistortionClass:
+        return classify_residual(self.residual_ms)
 
 
 def classify_residual(residual_ms: float) -> DistortionClass:
@@ -85,9 +83,9 @@ def classify_residual(residual_ms: float) -> DistortionClass:
 
 def comb_filter_magnitude(delay_ms: float, gain: float, freq_hz: float) -> float:
     """|H(f)| of a unit signal summed with a gain-weighted copy delayed by delay_ms."""
-    if delay_ms < 0:
+    if not 0 <= delay_ms < math.inf:
         raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-    if gain < 0:
+    if not 0 <= gain < math.inf:
         raise ValueError(f"gain must be >= 0, got {gain}")
     c = math.cos(2.0 * math.pi * freq_hz * delay_ms / 1000.0)
     # rounding can push the radicand a hair below 0 at exact notches
@@ -96,10 +94,14 @@ def comb_filter_magnitude(delay_ms: float, gain: float, freq_hz: float) -> float
 
 def notch_frequencies(delay_ms: float, max_freq_hz: float) -> list[float]:
     """All comb notches (2k+1)*1000/(2*delay_ms) up to max_freq_hz, ascending."""
-    if delay_ms < 0:
+    if not 0 <= delay_ms < math.inf:
         raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
     if delay_ms == 0:
         return []
+    if not delay_ms * max_freq_hz / 1000.0 <= _MAX_NOTCHES:
+        raise ValueError(
+            f"a {delay_ms} ms delay has more than {_MAX_NOTCHES} notches up to {max_freq_hz} Hz"
+        )
     notches = []
     k = 0
     while True:

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .acoustics import Venue, delay_map, propagation_delay_ms
+from .acoustics import Venue, _require_keys, delay_map, propagation_delay_ms
 from .perception import DistortionClass, classify_residual
 
 __all__ = [
@@ -32,6 +32,8 @@ __all__ = [
 
 # structural checks tolerate values round-tripped through 6-significant-digit files
 _REL_SLACK = 2e-5
+# checked before any zone is built; far above any real venue at any sane tolerance
+_MAX_ZONES = 100_000
 
 
 class UncoveredDelayError(ValueError):
@@ -48,6 +50,9 @@ class Zone:
     distance_hi_m: float
 
     def __post_init__(self):
+        nums = (self.delay_lo_ms, self.delay_hi_ms, self.presentation_delay_ms, self.distance_lo_m, self.distance_hi_m)
+        if not all(map(math.isfinite, nums)):
+            raise ValueError(f"zone {self.index}: delays and distances must be finite, got {nums}")
         if self.delay_lo_ms > self.delay_hi_ms:
             raise ValueError(f"zone {self.index}: delay_lo {self.delay_lo_ms} > delay_hi {self.delay_hi_ms}")
 
@@ -66,9 +71,9 @@ class DelayPlan:
 
     def __post_init__(self):
         object.__setattr__(self, "zones", tuple(self.zones))
-        if self.tolerance_ms <= 0:
+        if not 0 < self.tolerance_ms < math.inf:
             raise ValueError(f"tolerance_ms must be > 0, got {self.tolerance_ms}")
-        if self.speed_of_sound_m_per_s <= 0:
+        if not 0 < self.speed_of_sound_m_per_s < math.inf:
             raise ValueError(f"speed of sound must be > 0, got {self.speed_of_sound_m_per_s}")
         if not self.zones:
             raise ValueError("plan needs at least one zone")
@@ -101,10 +106,15 @@ def plan_zones(max_distance_m: float, tolerance_ms: float, speed_m_per_s: float 
     max(1, ceil(span / (2*tolerance))) and each zone's presentation delay
     is its midpoint.
     """
-    if tolerance_ms <= 0:
+    if not 0 < tolerance_ms < math.inf:
         raise ValueError(f"tolerance_ms must be > 0, got {tolerance_ms}")
     span = propagation_delay_ms(max_distance_m, speed_m_per_s)
-    n = max(1, math.ceil(span / (2.0 * tolerance_ms)))
+    ratio = span / (2.0 * tolerance_ms)
+    if not ratio <= _MAX_ZONES:
+        raise ValueError(
+            f"a {span} ms span at tolerance {tolerance_ms} ms needs more than {_MAX_ZONES} zones"
+        )
+    n = max(1, math.ceil(ratio))
     m_per_ms = speed_m_per_s / 1000.0
     zones = []
     for i in range(n):
@@ -220,15 +230,8 @@ def plan_to_dict(plan: DelayPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> DelayPlan:
-    if not isinstance(data, dict):
-        raise ValueError("plan must be a JSON object")
-    allowed = {"tolerance_ms", "speed_of_sound_m_per_s", "zones"}
-    for key in data:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in plan")
-    for key in allowed:
-        if key not in data:
-            raise ValueError(f"missing key {key!r} in plan")
+    plan_keys = {"tolerance_ms", "speed_of_sound_m_per_s", "zones"}
+    _require_keys(data, plan_keys, plan_keys, "plan")
     zone_keys = {
         "index",
         "delay_lo_ms",
@@ -239,12 +242,7 @@ def plan_from_dict(data: dict) -> DelayPlan:
     }
     zones = []
     for i, entry in enumerate(data["zones"]):
-        for key in entry:
-            if key not in zone_keys:
-                raise ValueError(f"unknown key {key!r} in zones[{i}]")
-        for key in zone_keys:
-            if key not in entry:
-                raise ValueError(f"missing key {key!r} in zones[{i}]")
+        _require_keys(entry, zone_keys, zone_keys, f"zones[{i}]")
         zones.append(
             Zone(
                 index=int(entry["index"]),

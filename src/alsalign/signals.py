@@ -7,6 +7,7 @@ repeated calls are bit-identical.
 
 from __future__ import annotations
 
+import math
 import wave
 from dataclasses import dataclass, field
 
@@ -25,6 +26,9 @@ __all__ = [
     "write_wav",
 ]
 
+# checked before any synthetic signal is allocated; 625 s at 16 kHz
+_MAX_SAMPLES = 10_000_000
+
 
 @dataclass(frozen=True)
 class Signal:
@@ -34,7 +38,7 @@ class Signal:
     sample_rate_hz: int
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
+        if not 0 < self.sample_rate_hz < math.inf:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
@@ -61,31 +65,30 @@ class Signal:
 
 
 def _num_samples(duration_ms: float, sample_rate_hz: int) -> int:
+    if not 0 <= duration_ms < math.inf:
+        raise ValueError(f"duration_ms must be >= 0, got {duration_ms}")
+    if not 0 < sample_rate_hz < math.inf:
+        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+    n = duration_ms * sample_rate_hz / 1000.0
+    if not n <= _MAX_SAMPLES:
+        raise ValueError(f"{duration_ms} ms at {sample_rate_hz} Hz is more than {_MAX_SAMPLES} samples")
     # round half to even, matching the sample-shift convention
-    return round(duration_ms * sample_rate_hz / 1000.0)
+    return round(n)
 
 
 def gen_white_noise(seed: int, duration_ms: float, sample_rate_hz: int) -> Signal:
     """White noise, i.i.d. uniform on [-1, 1), bit-identical per (seed, params)."""
-    if duration_ms < 0:
-        raise ValueError(f"duration_ms must be >= 0, got {duration_ms}")
-    if sample_rate_hz <= 0:
-        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
     n = _num_samples(duration_ms, sample_rate_hz)
     return Signal(SplitMix64(seed).symmetric_block(n), sample_rate_hz)
 
 
 def gen_sine(freq_hz: float, duration_ms: float, sample_rate_hz: int, amplitude: float = 1.0) -> Signal:
     """Pure tone: samples[k] = amplitude * sin(2*pi*freq_hz*k/sample_rate_hz)."""
-    if duration_ms < 0:
-        raise ValueError(f"duration_ms must be >= 0, got {duration_ms}")
-    if sample_rate_hz <= 0:
-        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+    n = _num_samples(duration_ms, sample_rate_hz)
     if not 0 <= freq_hz < sample_rate_hz / 2:
         raise ValueError(
             f"freq_hz must satisfy 0 <= f < Nyquist ({sample_rate_hz / 2} Hz), got {freq_hz}"
         )
-    n = _num_samples(duration_ms, sample_rate_hz)
     k = np.arange(n, dtype=np.float64)
     return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * k / sample_rate_hz), sample_rate_hz)
 
@@ -96,9 +99,10 @@ def delay_signal(sig: Signal, delay_ms: float) -> Signal:
     Negative delays are rejected: represent them by delaying the other
     signal of the pair instead.
     """
-    if delay_ms < 0:
+    if not 0 <= delay_ms < math.inf:
         raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
-    shift = round(delay_ms * sig.sample_rate_hz / 1000.0)
+    # a shift past the end gives all zeros; clamping keeps round() finite for huge delays
+    shift = round(min(delay_ms * sig.sample_rate_hz / 1000.0, len(sig)))
     if shift == 0:
         return sig
     n = len(sig)
@@ -123,7 +127,14 @@ def mix(parts: list[tuple[Signal, float]]) -> Signal:
 
 
 def add_noise_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
-    """Add white noise scaled so power(sig)/power(noise) == 10**(snr_db/10)."""
+    """Add white noise scaled so power(sig)/power(noise) == 10**(snr_db/10).
+
+    |snr_db| is limited to 300 dB: there the weaker part is already near
+    float64 rounding of the stronger, and far beyond it 10**(snr_db/10)
+    overflows or underflows.
+    """
+    if not -300.0 <= snr_db <= 300.0:
+        raise ValueError(f"snr_db must be within +-300 dB, got {snr_db}")
     p_sig = sig.power()
     if p_sig == 0.0:
         raise ValueError("add_noise_snr requires a signal with nonzero power")

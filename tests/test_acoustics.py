@@ -138,3 +138,32 @@ class TestVenueConfig:
     def test_missing_loudspeakers_rejected(self):
         with pytest.raises(ValueError, match="missing key 'loudspeakers'"):
             venue_from_dict({"seats": []})
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Venue((Position(0.0, 0.0),), (), NAN),
+        lambda: Venue((Position(0.0, 0.0),), (), INF),
+        lambda: propagation_delay_ms(NAN, 343.0),
+        lambda: propagation_delay_ms(INF, 343.0),
+        lambda: propagation_delay_ms(1e308, 343.0),
+        lambda: propagation_delay_ms(10.0, NAN),
+        lambda: propagation_delay_ms(10.0, INF),
+    ],
+    ids=[
+        "venue-speed-nan",
+        "venue-speed-inf",
+        "distance-nan",
+        "distance-inf",
+        "delay-overflow",
+        "speed-nan",
+        "speed-inf",
+    ],
+)
+def test_nonfinite_numbers_rejected(call):
+    with pytest.raises(ValueError):
+        call()

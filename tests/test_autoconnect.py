@@ -270,3 +270,10 @@ class TestSnrMonotonicity:
             accuracy[snr_db] = correct / trials
         assert accuracy[10.0] >= accuracy[-10.0]
         assert accuracy[10.0] >= 0.9
+
+
+@pytest.mark.parametrize("max_lag_ms", [math.inf, 1e308], ids=["inf", "overflows-at-16k"])
+def test_nonfinite_max_lag_rejected(max_lag_ms):
+    sig = gen_white_noise(1, 100, 16000)
+    with pytest.raises(ValueError, match="max_lag_ms"):
+        estimate_alignment_delay(sig, sig, max_lag_ms)

@@ -235,3 +235,38 @@ class TestBroadcastConfigFile:
         )
         assert source.streams[0].airtime_fraction == 0.30
         assert source.trains[0].airtime_fraction == 0.01
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: BroadcastSink(NAN),
+        lambda: BroadcastSink(INF),
+        lambda: BroadcastSink(500.0, NAN),
+        lambda: BroadcastSink(500.0, INF),
+        lambda: AdvertisingTrain("T", "S", NAN),
+        lambda: AdvertisingTrain("T", "S", INF),
+        lambda: sink_apply_delays(BroadcastSink(NAN), 1e9, SpecMode.AMENDED),
+        lambda: sink_apply_delays(BroadcastSink(500.0), NAN, SpecMode.AMENDED),
+        lambda: sink_apply_delays(BroadcastSink(40.0), INF, SpecMode.STRICT),
+        lambda: transport_propagation_delay_ms(TransportKind.ULTRASOUND, 1e308),
+    ],
+    ids=[
+        "sink-buffer-nan",
+        "sink-buffer-inf",
+        "sink-local-nan",
+        "sink-local-inf",
+        "train-delay-nan",
+        "train-delay-inf",
+        "nan-buffer-no-cap",
+        "presentation-nan",
+        "presentation-inf",
+        "ultrasound-overflow",
+    ],
+)
+def test_nonfinite_numbers_rejected(call):
+    with pytest.raises(ValueError):
+        call()

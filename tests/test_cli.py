@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
+import math
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from alsalign.cli import build_parser, main
+from alsalign.planner import plan_to_dict, plan_zones
 from alsalign.signals import add_noise_snr, delay_signal, gen_white_noise, write_wav
 
 REPO = Path(__file__).resolve().parents[1]
@@ -338,3 +344,223 @@ class TestDeterminism:
         assert main(args_a) == 0
         assert main(args_b) == 0
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+# input file kind -> (argv that reads the file, config with an unknown key and the section
+# named in the error, config whose first entry is not an object and that entry's name)
+INPUT_FILES = {
+    "venue file": (
+        lambda path, tmp: ["plan", "--venue", path, "--out", str(tmp / "p.json")],
+        ({"loudspeakers": [{"x_m": 0, "y_m": 0}], "zzz": 1}, "venue config"),
+        ({"loudspeakers": [[0, 0]]}, "loudspeakers[0]"),
+    ),
+    "plan file": (
+        lambda path, tmp: ["map", "--venue", str(DEMO_VENUE), "--plan", path, "--out", str(tmp / "m.csv")],
+        ({"tolerance_ms": 30, "speed_of_sound_m_per_s": 343, "zones": [], "zzz": 1}, "plan"),
+        ({"tolerance_ms": 30, "speed_of_sound_m_per_s": 343, "zones": [[0]]}, "zones[0]"),
+    ),
+    "broadcast config": (
+        lambda path, tmp: ["validate", "--config", path],
+        ({"zzz": 1}, "broadcast config"),
+        ({"streams": [1]}, "streams[0]"),
+    ),
+}
+
+
+class TestInputErrorMessages:
+    """Every input fault is exit 2 with exactly one pinned error line."""
+
+    @pytest.mark.parametrize("fault", ["missing", "directory", "invalid-json", "unknown-key", "non-object-entry"])
+    @pytest.mark.parametrize("what", list(INPUT_FILES))
+    def test_input_file_fault(self, tmp_path, capsys, what, fault):
+        argv_for, (unknown_cfg, section), (entry_cfg, entry) = INPUT_FILES[what]
+        path = tmp_path / "input.json"
+        if fault == "missing":
+            expected = f"{what} not found: {path}"
+        elif fault == "directory":
+            path.mkdir()
+            expected = f"cannot read {what} {path}: Is a directory"
+        elif fault == "invalid-json":
+            path.write_text("{not json")
+            expected = (
+                f"{what} {path} is not valid JSON: "
+                "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+            )
+        elif fault == "unknown-key":
+            path.write_text(json.dumps(unknown_cfg))
+            expected = f"bad {what} {path}: unknown key 'zzz' in {section}"
+        else:
+            path.write_text(json.dumps(entry_cfg))
+            expected = f"bad {what} {path}: {entry} must be a JSON object"
+        assert main(argv_for(str(path), tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "plan.json"
+        assert main(["plan", "--venue", str(DEMO_VENUE), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+
+
+MIC = ["--mic", "noise:7:200:16000", "--stream", "A=noise:7:200:16000", "--max-lag-ms=50"]
+ZONE_KEYS = ("delay_lo_ms", "delay_hi_ms", "presentation_delay_ms", "distance_lo_m", "distance_hi_m")
+
+
+class TestOutOfRangeInputs:
+    """Non-finite, out-of-range and oversized inputs end in exit 2 with one error line."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        nan = float("nan")
+        speaker = [{"x_m": 0, "y_m": 0}]
+
+        def seat(y_m):
+            return {"id": "A", "x_m": 0, "y_m": y_m}
+
+        configs = {
+            "nan_speed.json": {"speed_of_sound_m_per_s": nan, "loudspeakers": speaker, "seats": [seat(10)]},
+            "far_seat.json": {"loudspeakers": speaker, "seats": [seat(1e308)]},
+            "remote_seat.json": {"loudspeakers": speaker, "seats": [seat(1e6)]},
+            "nan_plan.json": {
+                "tolerance_ms": 30,
+                "speed_of_sound_m_per_s": 343,
+                "zones": [{"index": 0, **dict.fromkeys(ZONE_KEYS, nan)}],
+            },
+        }
+        for name, cfg in configs.items():
+            (tmp_path / name).write_text(json.dumps(cfg))
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["autoconnect", *MIC, "--sink-buffer-ms=nan", "--out", "{tmp}/o.json"],
+            ["autoconnect", *MIC, "--snr-db=nan", "--out", "{tmp}/o.json"],
+            ["autoconnect", *MIC, "--snr-db=-1e308", "--out", "{tmp}/o.json"],
+            ["autoconnect", *MIC, "--max-lag-ms=inf", "--out", "{tmp}/o.json"],
+            ["autoconnect", "--mic", "noise:7:1e12:16000", "--stream", "A=sine:440:200:16000", "--out", "{tmp}/o.json"],
+            ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/nan_plan.json", "--out", "{tmp}/m.csv"],
+            ["simulate", "--venue", "{tmp}/nan_speed.json", "--seat", "A", "--out", "{tmp}/r.json"],
+            ["simulate", "--venue", "{tmp}/remote_seat.json", "--seat", "A", "--out", "{tmp}/r.json"],
+            ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", "--sample-rate-hz=10000000000", "--out", "{tmp}/r.json"],
+            ["plan", "--venue", "{tmp}/far_seat.json", "--out", "{tmp}/p.json"],
+            ["plan", "--venue", str(DEMO_VENUE), "--tolerance-ms=1e-300", "--out", "{tmp}/p.json"],
+            ["validate", "--config", "{tmp}/deep.json"],
+        ],
+        ids=[
+            "nan-sink-buffer",
+            "nan-snr",
+            "huge-negative-snr",
+            "inf-max-lag",
+            "sample-cap-spec",
+            "nan-plan-zones",
+            "nan-speed-of-sound",
+            "notch-cap",
+            "sample-cap-rate",
+            "seat-at-1e308-m",
+            "zone-cap",
+            "json-nested-too-deep",
+        ],
+    )
+    def test_rejected_with_one_error_line(self, files, capsys, argv):
+        assert main([a.format(tmp=files) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
+
+# finite values plus the values that break one-sided checks or overflow
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([math.inf, -math.inf, math.nan, 0.0, -1.0, 1e308, 1e-300]),
+)
+# durations stay at 200 ms or below unless they are meant to trip a check
+DURATIONS = st.one_of(st.floats(0.0, 200.0), st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 1e308, 1e-300]))
+RATES = st.one_of(st.sampled_from([8000, 16000]), st.integers(-10, 48000), st.just(10**12))
+POSITIONS = st.fixed_dictionaries({"x_m": NUMBERS, "y_m": NUMBERS})
+VENUES = st.fixed_dictionaries(
+    {
+        "loudspeakers": st.lists(POSITIONS, min_size=1, max_size=2),
+        "seats": st.lists(POSITIONS, max_size=3).map(lambda ps: [{"id": f"S{i}", **p} for i, p in enumerate(ps)]),
+    },
+    optional={"speed_of_sound_m_per_s": st.one_of(st.just(343.0), NUMBERS)},
+)
+PLANS = st.one_of(
+    st.builds(lambda d, t: plan_to_dict(plan_zones(d, t)), st.floats(0.0, 100.0), st.floats(1.0, 100.0)),
+    st.fixed_dictionaries(
+        {
+            "tolerance_ms": NUMBERS,
+            "speed_of_sound_m_per_s": NUMBERS,
+            "zones": st.lists(
+                st.fixed_dictionaries({k: NUMBERS for k in ZONE_KEYS}), min_size=1, max_size=2
+            ).map(lambda zs: [{"index": i, **z} for i, z in enumerate(zs)]),
+        }
+    ),
+)
+BROADCASTS = st.fixed_dictionaries(
+    {
+        "streams": st.just([{"id": "S", "sample_rate_hz": 16000}])
+        | st.builds(lambda r, a: [{"id": "S", "sample_rate_hz": r, "airtime_fraction": a}], NUMBERS, NUMBERS),
+        "trains": st.lists(
+            st.builds(
+                lambda i, d, a: {"id": f"T{i}", "target_stream_id": "S", "presentation_delay_ms": d, "airtime_fraction": a},
+                st.integers(0, 9),
+                NUMBERS,
+                NUMBERS,
+            ),
+            max_size=2,
+            unique_by=lambda t: t["id"],
+        ),
+    },
+    optional={"mode": st.sampled_from(["strict", "amended"])},
+)
+
+
+class TestFuzz:
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_and_one_error_line(self, data):
+        command = data.draw(st.sampled_from(["plan", "map", "simulate", "autoconnect", "validate"]))
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            venue, plan, config, out = tmp / "venue.json", tmp / "plan.json", tmp / "bc.json", str(tmp / "out")
+            venue.write_text(json.dumps(data.draw(VENUES)))
+            plan.write_text(json.dumps(data.draw(PLANS)))
+            config.write_text(json.dumps(data.draw(BROADCASTS)))
+            if command == "plan":
+                argv = ["plan", "--venue", str(venue), f"--tolerance-ms={data.draw(NUMBERS)}", "--out", out]
+            elif command == "map":
+                argv = ["map", "--venue", str(venue), "--plan", str(plan), "--out", out]
+            elif command == "simulate":
+                seat = data.draw(st.sampled_from(["S0", "S1", "GHOST"]))
+                rate = data.draw(RATES)
+                argv = ["simulate", "--venue", str(venue), "--seat", seat, f"--sample-rate-hz={rate}", "--out", out]
+                argv += data.draw(st.sampled_from([[], ["--plan", str(plan)]]))
+            elif command == "autoconnect":
+                # a matching invocation with up to two of its numbers fuzzed
+                v = {"seed": 7, "ms": 200.0, "rate": 16000, "freq": 440.0, "lag": 50.0, "threshold": 0.3}
+                for key in data.draw(st.sets(st.sampled_from(list(v)), max_size=2)):
+                    v[key] = data.draw({"seed": st.integers(0, 9), "ms": DURATIONS, "rate": RATES}.get(key, NUMBERS))
+                argv = [
+                    "autoconnect",
+                    f"--mic=noise:{v['seed']}:{v['ms']}:{v['rate']}",
+                    "--stream=A=noise:7:200:16000",
+                    f"--stream=B=sine:{v['freq']}:200:16000",
+                    f"--max-lag-ms={v['lag']}",
+                    f"--threshold={v['threshold']}",
+                    "--out",
+                    out,
+                ]
+                argv += data.draw(st.sampled_from([[], ["--mode=strict"]]))
+                for flag in ("--snr-db", "--sink-buffer-ms"):
+                    if data.draw(st.booleans()):
+                        argv.append(f"{flag}={data.draw(NUMBERS)}")
+            else:
+                argv = ["validate", "--config", str(config)]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from alsalign.acoustics import Position, Seat, Venue
 from alsalign.perception import DistortionClass
 from alsalign.planner import (
+    DelayPlan,
     UncoveredDelayError,
     Zone,
     load_plan,
@@ -233,3 +234,39 @@ class TestResidualBoundProperty:
             delay = frac * plan.span_ms
             zone = zone_for_delay(plan, delay)
             assert abs(residual_delay_ms(delay, zone.presentation_delay_ms)) <= tol
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: plan_zones(10.0, INF),
+        lambda: DelayPlan(NAN, 343.0, plan_zones(10.0, 30.0).zones),
+        lambda: DelayPlan(INF, 343.0, plan_zones(10.0, 30.0).zones),
+        lambda: DelayPlan(30.0, NAN, plan_zones(10.0, 30.0).zones),
+        lambda: Zone(0, NAN, NAN, NAN, NAN, NAN),
+        lambda: Zone(0, 0.0, INF, INF, 0.0, INF),
+        lambda: Zone(0, 0.0, 10.0, NAN, 0.0, 3.43),
+    ],
+    ids=[
+        "plan-tolerance-inf",
+        "tolerance-nan",
+        "tolerance-inf",
+        "speed-nan",
+        "zone-all-nan",
+        "zone-hi-inf",
+        "zone-presentation-nan",
+    ],
+)
+def test_nonfinite_numbers_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+def test_zone_count_capped_before_building():
+    with pytest.raises(ValueError, match="zones"):
+        plan_zones(60.96, 1e-300)
+    with pytest.raises(ValueError, match="zones"):
+        plan_zones(60.96, SPAN_200FT / (2 * 100_001))

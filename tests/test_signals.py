@@ -74,8 +74,10 @@ class TestDelaySignal:
 
     def test_delay_past_end_gives_silence(self):
         sig = gen_white_noise(3, 10, 16000)
-        out = delay_signal(sig, 1000.0)
-        assert np.all(out.samples == 0.0)
+        for delay_ms in (1000.0, 1e308):
+            out = delay_signal(sig, delay_ms)
+            assert len(out) == len(sig)
+            assert np.all(out.samples == 0.0)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
@@ -194,3 +196,39 @@ class TestWav:
         back = read_wav(path)
         assert back.samples[0] == -1.0
         assert back.samples[2] == 32767.0 / 32768.0
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: Signal(np.zeros(4), NAN),
+        lambda: gen_white_noise(1, INF, 16000),
+        lambda: gen_sine(440.0, INF, 16000),
+        lambda: delay_signal(gen_white_noise(1, 10, 16000), INF),
+        lambda: add_noise_snr(gen_white_noise(1, 10, 16000), NAN, 0),
+        lambda: add_noise_snr(gen_white_noise(1, 10, 16000), INF, 0),
+        lambda: add_noise_snr(gen_white_noise(1, 10, 16000), -1e308, 0),
+    ],
+    ids=["rate-nan", "noise-duration-inf", "sine-duration-inf", "delay-inf", "snr-nan", "snr-inf", "snr-huge-negative"],
+)
+def test_nonfinite_numbers_rejected(call):
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gen_white_noise(1, 1e12, 16000),
+        lambda: gen_sine(440.0, 1e12, 16000),
+        lambda: gen_white_noise(1, 1000.0, 10**12),
+        lambda: gen_white_noise(1, 1000.0, 10_000_001),
+    ],
+    ids=["noise-duration", "sine-duration", "rate", "one-past-cap"],
+)
+def test_sample_count_capped_before_allocation(call):
+    with pytest.raises(ValueError, match="samples"):
+        call()
