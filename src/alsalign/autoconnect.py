@@ -4,6 +4,12 @@ Scan candidate broadcast streams, score each against the microphone
 signal with windowed normalized cross-correlation over non-negative
 integer lags, connect to the best-scoring stream, and reuse the peak lag
 as the listener's local alignment delay.
+
+The lag search is a generalized cross-correlation without weighting
+(Knapp & Carter, 1976): one FFT per (mic, stream) pair estimates every
+lag's score with a rounding bound, and the few lags that could still be
+the peak are re-scored with exact dot products. Lag and peak are
+therefore those of an exhaustive search, bit for bit.
 """
 
 from __future__ import annotations
@@ -27,6 +33,11 @@ __all__ = [
 ]
 
 DEFAULT_THRESHOLD = 0.3
+
+_EPS = float(np.finfo(np.float64).eps)
+# signal norms for which the FFT bound holds: no overflow, no underflow that matters
+_FFT_MIN_NORM = 2.0**-450
+_FFT_MAX_NORM = 2.0**450
 
 
 @dataclass(frozen=True)
@@ -78,11 +89,25 @@ def normalized_cross_correlation(mic: Signal, stream: Signal, lag_samples: int) 
     return float(np.dot(s, m) / denom)
 
 
-def _ncc_curve(mic: Signal, stream: Signal, max_lag_samples: int) -> np.ndarray:
-    """NCC at every lag 0..max_lag_samples, computed without FFT.
+def _fft_size(min_size: int) -> int:
+    """Smallest 2**a * 3**b >= min_size; pocketfft is slow at prime lengths."""
+    best = 1 << (min_size - 1).bit_length()
+    power3 = 3
+    while power3 < best:
+        best = min(best, power3 << (-(-min_size // power3) - 1).bit_length())
+        power3 *= 3
+    return best
 
-    Numerators are one dot product per lag; window norms come from prefix
-    and suffix sums of squares.
+
+def _best_lag(mic: Signal, stream: Signal, max_lag_samples: int) -> tuple[int, float]:
+    """First lag in 0..max_lag_samples with the highest NCC, and that NCC.
+
+    Every lag is scored as np.dot(s[:n-lag], m[lag:]) / denom[lag], or 0
+    where the window norms vanish, and the result is exactly what
+    scoring them all gives. One FFT cross-correlation bounds each score
+    to within (4 * size * eps * |s| * |m|) / denom[lag]; the dot product
+    is taken only at lags whose upper bound reaches the best lower bound.
+    Window norms come from prefix and suffix sums of squares.
     """
     n = _check_pair(mic, stream)
     if max_lag_samples < 0 or n - max_lag_samples < 2:
@@ -95,39 +120,51 @@ def _ncc_curve(mic: Signal, stream: Signal, max_lag_samples: int) -> np.ndarray:
     nlags = max_lag_samples + 1
 
     # stream window norms: cumulative |s[0:k]|^2 for k = n-max_lag .. n
-    s_sq = np.square(s)
-    s_head = np.concatenate(([0.0], np.cumsum(s_sq)))
+    s_head = np.concatenate(([0.0], np.cumsum(np.square(s))))
     # mic window norms: tail sums |m[lag:n]|^2 for lag = 0 .. max_lag
-    m_sq = np.square(m)
-    m_tail = np.concatenate((np.cumsum(m_sq[::-1])[::-1], [0.0]))
-
-    nums = np.empty(nlags)
-    for lag in range(nlags):
-        nums[lag] = np.dot(s[: n - lag], m[lag:])
-    s_norms = np.sqrt(s_head[n - np.arange(nlags)])
-    m_norms = np.sqrt(m_tail[:nlags])
-    denoms = s_norms * m_norms
-    out = np.zeros(nlags)
+    m_tail = np.concatenate((np.cumsum(np.square(m)[::-1])[::-1], [0.0]))
+    denoms = np.sqrt(s_head[n - np.arange(nlags)]) * np.sqrt(m_tail[:nlags])
     nonzero = denoms > 0.0
-    out[nonzero] = nums[nonzero] / denoms[nonzero]
-    return out
+
+    norm_s, norm_m = math.sqrt(s_head[n]), math.sqrt(m_tail[0])
+    if _FFT_MIN_NORM <= min(norm_s, norm_m) and max(norm_s, norm_m) <= _FFT_MAX_NORM:
+        size = _fft_size(n + max_lag_samples)  # no wrap-around into lags 0..max_lag
+        nums = np.fft.irfft(np.fft.rfft(m, size) * np.conj(np.fft.rfft(s, size)), size)[:nlags]
+        # covers the rounding of the FFT and of np.dot (at most n * eps * |s| * |m|)
+        bound = 4 * size * _EPS * norm_s * norm_m
+        # below denom = bound a score's interval is wider than [-1, 1] and
+        # dividing by denom can overflow: such lags are always scored exactly
+        sharp = denoms >= bound
+        approx = nums[sharp] / denoms[sharp]
+        radius = bound / denoms[sharp]
+        exact = nonzero.copy()
+        exact[sharp] = approx + radius >= np.max(approx - radius, initial=-np.inf)
+    else:
+        # outside this range the FFT could overflow or lose precision to underflow
+        exact = nonzero
+    scores = np.where(nonzero, -np.inf, 0.0)
+    for lag in np.flatnonzero(exact):
+        scores[lag] = np.dot(s[: n - lag], m[lag:]) / denoms[lag]
+    best = int(np.argmax(scores))  # argmax returns the first (smallest) lag on ties
+    return best, float(scores[best])
 
 
 def estimate_alignment_delay(mic: Signal, stream: Signal, max_lag_ms: float) -> tuple[float, float]:
-    """Exhaustive integer-lag search; returns (lag_ms, peak_ncc).
+    """Integer-lag NCC search; returns (lag_ms, peak_ncc).
 
-    Ties in the peak value break to the smallest lag. The search is
-    one-sided (lag >= 0): the broadcast always precedes the acoustic
-    signal here.
+    The result is that of scoring every lag in 0..max_lag_ms exactly:
+    an FFT cross-correlation narrows the search, and the lags it cannot
+    rule out are re-scored with exact dot products. Ties in the peak
+    value break to the smallest lag. The search is one-sided (lag >= 0):
+    the broadcast always precedes the acoustic signal here.
     """
     if not 0 <= max_lag_ms < math.inf:
         raise ValueError(f"max_lag_ms must be >= 0, got {max_lag_ms}")
     max_lag = max_lag_ms * mic.sample_rate_hz / 1000.0
     if max_lag == math.inf:
         raise ValueError(f"max_lag_ms {max_lag_ms} overflows at {mic.sample_rate_hz} Hz")
-    curve = _ncc_curve(mic, stream, round(max_lag))
-    best = int(np.argmax(curve))  # argmax returns the first (smallest) lag on ties
-    return best * 1000.0 / mic.sample_rate_hz, float(curve[best])
+    best, peak = _best_lag(mic, stream, round(max_lag))
+    return best * 1000.0 / mic.sample_rate_hz, peak
 
 
 def select_stream(

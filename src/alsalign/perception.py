@@ -87,6 +87,8 @@ def comb_filter_magnitude(delay_ms: float, gain: float, freq_hz: float) -> float
         raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
     if not 0 <= gain < math.inf:
         raise ValueError(f"gain must be >= 0, got {gain}")
+    if not math.isfinite(freq_hz):
+        raise ValueError(f"freq_hz must be finite, got {freq_hz}")
     c = math.cos(2.0 * math.pi * freq_hz * delay_ms / 1000.0)
     # rounding can push the radicand a hair below 0 at exact notches
     return math.sqrt(max(0.0, 1.0 + gain * gain + 2.0 * gain * c))

@@ -43,6 +43,11 @@ class Signal:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
+        # one NaN or inf would spread to every lag of an FFT correlation
+        finite = np.isfinite(arr)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise ValueError(f"samples must be finite, got {arr[first]} at index {first}")
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
@@ -89,6 +94,8 @@ def gen_sine(freq_hz: float, duration_ms: float, sample_rate_hz: int, amplitude:
         raise ValueError(
             f"freq_hz must satisfy 0 <= f < Nyquist ({sample_rate_hz / 2} Hz), got {freq_hz}"
         )
+    if not math.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     k = np.arange(n, dtype=np.float64)
     return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * k / sample_rate_hz), sample_rate_hz)
 

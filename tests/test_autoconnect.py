@@ -11,7 +11,7 @@ from alsalign.autoconnect import (
     select_stream,
 )
 from alsalign.broadcast import BroadcastSink, ParameterUnsupportedError, SpecMode
-from alsalign.signals import Signal, add_noise_snr, delay_signal, gen_white_noise
+from alsalign.signals import Signal, add_noise_snr, delay_signal, gen_sine, gen_white_noise
 
 
 def brute_force_search(mic, stream, max_lag):
@@ -29,6 +29,152 @@ def brute_force_search(mic, stream, max_lag):
         if val > best_val:
             best_lag, best_val = lag, val
     return best_lag, best_val, values
+
+
+def loop_search(mic, stream, max_lag):
+    """The exhaustive search as it was before the FFT: one np.dot per lag.
+
+    Same arrays, expressions and tie-break as the library's exact
+    re-score, so its (lag, peak) must match bit for bit.
+    """
+    n = min(len(mic), len(stream))
+    m = mic.samples[:n]
+    s = stream.samples[:n]
+    nlags = max_lag + 1
+    s_head = np.concatenate(([0.0], np.cumsum(np.square(s))))
+    m_tail = np.concatenate((np.cumsum(np.square(m)[::-1])[::-1], [0.0]))
+    nums = np.empty(nlags)
+    for lag in range(nlags):
+        nums[lag] = np.dot(s[: n - lag], m[lag:])
+    denoms = np.sqrt(s_head[n - np.arange(nlags)]) * np.sqrt(m_tail[:nlags])
+    curve = np.zeros(nlags)
+    nonzero = denoms > 0.0
+    curve[nonzero] = nums[nonzero] / denoms[nonzero]
+    best = int(np.argmax(curve))
+    return best, float(curve[best])
+
+
+def _random_pairs():
+    rng = np.random.default_rng(11)
+    pairs = []
+    for _ in range(40):
+        n = int(rng.integers(3, 700))
+        mic = Signal(rng.normal(size=n), 8000)
+        stream = Signal(rng.normal(size=int(rng.integers(n, n + 50))), 8000)
+        pairs.append((mic, stream, int(rng.integers(0, n - 1))))
+    return pairs
+
+
+def _delayed_noisy_copies():
+    pairs = []
+    for seed in range(12):
+        stream = gen_white_noise(seed, 250, 16000)
+        mic = add_noise_snr(delay_signal(stream, 7.5 * seed), -10.0 + 2.0 * seed, seed=100 + seed)
+        pairs.append((mic, stream, 1600))
+    return pairs
+
+
+def _pure_tones():
+    pairs = []
+    for freq in (50.0, 440.0, 1000.0, 3000.0):
+        tone = gen_sine(freq, 250, 8000)
+        pairs.append((delay_signal(tone, 12.0), tone, 1000))
+        pairs.append((tone, tone, 1000))
+    return pairs
+
+
+def _tiny_tail_windows():
+    # The mic's tail is scaled to 1e-150 and holds a copy of the stream at
+    # lag 150. FFT rounding (about 1e-16 of the full norms) swamps every
+    # score whose mic window lies in the tail; the true peak is there.
+    rng = np.random.default_rng(13)
+    pairs = []
+    for k in range(6):
+        n, lag = 512, 150
+        s = rng.normal(size=n)
+        m = rng.normal(size=n)
+        m[100:lag] *= 1e-150
+        m[lag:] = 1e-150 * s[: n - lag]
+        if k % 2:
+            m[lag:] += 1e-151 * rng.normal(size=n - lag)
+        pairs.append((Signal(m, 8000), Signal(s, 8000), n - 2 - 40 * k))
+    return pairs
+
+
+def _tiny_windows_of_huge_signals():
+    # Signals of norm about 1e131 whose windows at large lags are about
+    # 1e-150 on both sides: the error bound divided by such a window's
+    # norm overflows, and the peak (a copy at lag 280) lies there.
+    rng = np.random.default_rng(19)
+    pairs = []
+    for k in range(3):
+        n = 400
+        s = rng.normal(size=n)
+        m = rng.normal(size=n)
+        s[:150] *= 1e-150
+        s[150:] *= 1e130
+        m[:250] *= 1e130
+        m[250:] *= 1e-150
+        m[280:] = s[:120]
+        pairs.append((Signal(m, 8000), Signal(s, 8000), 300 + 20 * k))
+    return pairs
+
+
+def _extreme_scales():
+    # norms outside the range where the FFT bound holds: every lag is exact
+    rng = np.random.default_rng(17)
+    pairs = []
+    for mic_scale, stream_scale in ((1e-200, 1.0), (1e-140, 1e140), (1e140, 1e140), (1e-140, 1e-140)):
+        stream = rng.normal(size=200)
+        mic = np.concatenate((rng.normal(size=30), stream[:170])) + 0.1 * rng.normal(size=200)
+        pairs.append((Signal(mic_scale * mic, 8000), Signal(stream_scale * stream, 8000), 150))
+    return pairs
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [_random_pairs, _delayed_noisy_copies, _pure_tones, _tiny_tail_windows, _tiny_windows_of_huge_signals, _extreme_scales],
+    ids=["random", "delayed-noisy", "pure-tones", "tiny-tail-windows", "tiny-windows-huge-norms", "extreme-scales"],
+)
+def test_search_equals_loop_oracle(pairs):
+    for mic, stream, max_lag in pairs():
+        lag_ms, peak = estimate_alignment_delay(mic, stream, max_lag * 1000.0 / mic.sample_rate_hz)
+        expected_lag, expected_peak = loop_search(mic, stream, max_lag)
+        assert lag_ms == expected_lag * 1000.0 / mic.sample_rate_hz
+        assert peak == expected_peak
+
+
+def test_tiny_tail_peak_found():
+    mic, stream, max_lag = _tiny_tail_windows()[0]
+    lag_ms, peak = estimate_alignment_delay(mic, stream, max_lag * 1000.0 / 8000)
+    assert lag_ms == 150 * 1000.0 / 8000
+    assert peak == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("value", [1.0, -0.5, 0.3])
+@pytest.mark.parametrize("n", [64, 300])
+def test_constant_signals_tie_at_every_lag(value, n):
+    # Every lag scores 1 in exact arithmetic, so every lag is re-scored.
+    # Rounding of the window norms lifts some lags an ulp or so above 1
+    # (all ones at n = 300 peak at lag 5), and the search must agree.
+    sig = Signal(np.full(n, value), 8000)
+    lag_ms, peak = estimate_alignment_delay(sig, sig, (n - 2) * 1000.0 / 8000)
+    expected_lag, expected_peak = loop_search(sig, sig, n - 2)
+    assert (lag_ms, peak) == (expected_lag * 1000.0 / 8000, expected_peak)
+
+
+def test_exact_ties_break_to_lag_zero():
+    # windows of 64, 63 and 62 ones: each score rounds to exactly 1.0
+    sig = Signal(np.ones(64), 8000)
+    assert estimate_alignment_delay(sig, sig, 2 * 1000.0 / 8000) == (0.0, 1.0)
+    assert loop_search(sig, sig, 2) == (0, 1.0)
+
+
+def test_silent_mic_scores_zero():
+    mic = Signal(np.zeros(300), 8000)
+    stream = gen_white_noise(2, 300 * 1000.0 / 8000, 8000)
+    assert estimate_alignment_delay(mic, stream, 250 * 1000.0 / 8000) == (0.0, 0.0)
+    assert loop_search(mic, stream, 250) == (0, 0.0)
 
 
 class TestNormalizedCrossCorrelation:

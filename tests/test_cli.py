@@ -2,12 +2,16 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import alsalign
 from alsalign.cli import build_parser, main
 from alsalign.planner import plan_to_dict, plan_zones
 from alsalign.signals import add_noise_snr, delay_signal, gen_white_noise, write_wav
@@ -564,3 +568,14 @@ class TestFuzz:
         if rc == 2:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    # numpy loads numpy.fft on first use; only an autoconnect search
+    # should pay for it, not every CLI start-up
+    src_dir = str(Path(alsalign.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
+    code = "import alsalign, alsalign.cli, sys; print('numpy.fft' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "False"

@@ -145,6 +145,8 @@ NAN, INF = float("nan"), float("inf")
         lambda: MixSpec(1.0, INF),
         lambda: comb_filter_magnitude(NAN, 1.0, 100.0),
         lambda: comb_filter_magnitude(1.0, INF, 100.0),
+        lambda: comb_filter_magnitude(1.0, 0.5, NAN),
+        lambda: comb_filter_magnitude(1.0, 0.5, -INF),
         lambda: notch_frequencies(NAN, 8000.0),
         lambda: notch_frequencies(INF, 8000.0),
         lambda: notch_frequencies(1.0, NAN),
@@ -155,6 +157,8 @@ NAN, INF = float("nan"), float("inf")
         "gain-inf",
         "comb-delay-nan",
         "comb-gain-inf",
+        "comb-freq-nan",
+        "comb-freq-minus-inf",
         "notch-delay-nan",
         "notch-delay-inf",
         "notch-max-freq-nan",

@@ -222,6 +222,23 @@ def test_nonfinite_numbers_rejected(call):
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: Signal(np.array([0.0, NAN, 1.0]), 16000),
+        lambda: Signal(np.array([INF, 0.0]), 16000),
+        lambda: Signal([0.0, -INF], 16000),
+        lambda: gen_sine(440.0, 10.0, 16000, amplitude=NAN),
+        lambda: gen_sine(440.0, 10.0, 16000, amplitude=INF),
+        lambda: mix([(gen_white_noise(1, 10, 16000), INF)]),
+    ],
+    ids=["nan", "inf", "minus-inf-list", "sine-amplitude-nan", "sine-amplitude-inf", "mix-gain-inf"],
+)
+def test_nonfinite_samples_rejected(call):
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: gen_white_noise(1, 1e12, 16000),
         lambda: gen_sine(440.0, 1e12, 16000),
         lambda: gen_white_noise(1, 1000.0, 10**12),
