@@ -15,9 +15,8 @@ therefore those of an exhaustive search, bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .broadcast import BroadcastSink, SpecMode, sink_apply_delays
 from .signals import Signal
@@ -34,7 +33,8 @@ __all__ = [
 
 DEFAULT_THRESHOLD = 0.3
 
-_EPS = float(np.finfo(np.float64).eps)
+# float64 machine epsilon, 2**-52; numpy is imported only inside the searches
+_EPS = sys.float_info.epsilon
 # signal norms for which the FFT bound holds: no overflow, no underflow that matters
 _FFT_MIN_NORM = 2.0**-450
 _FFT_MAX_NORM = 2.0**450
@@ -81,6 +81,8 @@ def normalized_cross_correlation(mic: Signal, stream: Signal, lag_samples: int) 
         raise ValueError(f"lag_samples must be >= 0, got {lag_samples}")
     if n - lag_samples < 2:
         raise ValueError(f"overlap {n - lag_samples} too small (need >= 2) at lag {lag_samples}")
+    import numpy as np
+
     s = stream.samples[: n - lag_samples]
     m = mic.samples[lag_samples:n]
     denom = np.sqrt(np.dot(s, s)) * np.sqrt(np.dot(m, m))
@@ -115,6 +117,8 @@ def _best_lag(mic: Signal, stream: Signal, max_lag_samples: int) -> tuple[int, f
             f"lag range 0..{max_lag_samples} leaves less than 2 samples of overlap "
             f"(min signal length {n})"
         )
+    import numpy as np
+
     m = mic.samples[:n]
     s = stream.samples[:n]
     nlags = max_lag_samples + 1
@@ -186,7 +190,7 @@ def select_stream(
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate candidate stream ids")
     best_id = None
-    best_peak = -np.inf
+    best_peak = -math.inf
     best_lag = None
     for cand in sorted(candidates, key=lambda c: c.id):
         lag_ms, peak = estimate_alignment_delay(mic, cand.signal, max_lag_ms)

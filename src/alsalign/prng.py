@@ -8,7 +8,11 @@ seed. All randomness in this package flows through this generator.
 
 from __future__ import annotations
 
-import numpy as np
+from typing import TYPE_CHECKING
+
+# numpy is imported where arrays are made, so that planning alone never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 _GAMMA = 0x9E3779B97F4A7C15
@@ -42,6 +46,8 @@ class SplitMix64:
         """
         if n < 0:
             raise ValueError(f"block length must be >= 0, got {n}")
+        import numpy as np
+
         idx = np.arange(1, n + 1, dtype=np.uint64)
         z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
         z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)

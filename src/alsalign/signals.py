@@ -10,10 +10,13 @@ from __future__ import annotations
 import math
 import wave
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .prng import SplitMix64
+
+# numpy is imported where arrays are made, so that planning alone never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Signal",
@@ -40,6 +43,8 @@ class Signal:
     def __post_init__(self):
         if not 0 < self.sample_rate_hz < math.inf:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        import numpy as np
+
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
@@ -63,10 +68,12 @@ class Signal:
         """Mean squared amplitude; 0.0 for an empty signal."""
         if len(self.samples) == 0:
             return 0.0
+        import numpy as np
+
         return float(np.mean(np.square(self.samples)))
 
     def rms(self) -> float:
-        return float(np.sqrt(self.power()))
+        return math.sqrt(self.power())
 
 
 def _num_samples(duration_ms: float, sample_rate_hz: int) -> int:
@@ -96,6 +103,8 @@ def gen_sine(freq_hz: float, duration_ms: float, sample_rate_hz: int, amplitude:
         )
     if not math.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
+    import numpy as np
+
     k = np.arange(n, dtype=np.float64)
     return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * k / sample_rate_hz), sample_rate_hz)
 
@@ -112,6 +121,8 @@ def delay_signal(sig: Signal, delay_ms: float) -> Signal:
     shift = round(min(delay_ms * sig.sample_rate_hz / 1000.0, len(sig)))
     if shift == 0:
         return sig
+    import numpy as np
+
     n = len(sig)
     out = np.zeros(n)
     if shift < n:
@@ -126,6 +137,8 @@ def mix(parts: list[tuple[Signal, float]]) -> Signal:
     rates = {sig.sample_rate_hz for sig, _ in parts}
     if len(rates) != 1:
         raise ValueError(f"mismatched sample rates: {sorted(rates)}")
+    import numpy as np
+
     n = max(len(sig) for sig, _ in parts)
     out = np.zeros(n)
     for sig, gain in parts:
@@ -145,6 +158,8 @@ def add_noise_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
     p_sig = sig.power()
     if p_sig == 0.0:
         raise ValueError("add_noise_snr requires a signal with nonzero power")
+    import numpy as np
+
     noise = SplitMix64(seed).symmetric_block(len(sig))
     p_noise = float(np.mean(np.square(noise)))
     target = p_sig / 10.0 ** (snr_db / 10.0)
@@ -154,6 +169,8 @@ def add_noise_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
 
 def write_wav(sig: Signal, path) -> None:
     """16-bit PCM mono RIFF; amplitudes map linearly to [-1, 1)."""
+    import numpy as np
+
     pcm = np.clip(np.round(sig.samples * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as w:
         w.setnchannels(1)
@@ -164,6 +181,8 @@ def write_wav(sig: Signal, path) -> None:
 
 def read_wav(path) -> Signal:
     """Read a 16-bit PCM mono WAV written by write_wav (or equivalent)."""
+    import numpy as np
+
     with wave.open(str(path), "rb") as w:
         if w.getnchannels() != 1:
             raise ValueError(f"expected mono WAV, got {w.getnchannels()} channels")

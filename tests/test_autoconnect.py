@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from alsalign import autoconnect
 from alsalign.autoconnect import (
     CandidateStream,
     estimate_alignment_delay,
@@ -142,6 +143,12 @@ def test_search_equals_loop_oracle(pairs):
         expected_lag, expected_peak = loop_search(mic, stream, max_lag)
         assert lag_ms == expected_lag * 1000.0 / mic.sample_rate_hz
         assert peak == expected_peak
+
+
+def test_eps_is_float64_machine_epsilon():
+    # the FFT error radius scales with this constant, which is taken from
+    # the standard library so that importing autoconnect does not load numpy
+    assert autoconnect._EPS == float(np.finfo(np.float64).eps)
 
 
 def test_tiny_tail_peak_found():

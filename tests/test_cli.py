@@ -579,3 +579,53 @@ def test_import_leaves_numpy_fft_unloaded():
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+def _fresh_numpy_loaded(code: str, *args: str, cwd=None) -> tuple[int, bool]:
+    """Run code in a fresh interpreter; its last stdout line says whether numpy was loaded."""
+    src_dir = str(Path(alsalign.__file__).resolve().parent.parent)
+    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True)
+    assert done.stderr == "", done.stderr
+    return done.returncode, done.stdout.splitlines()[-1] == "True"
+
+
+def test_import_leaves_numpy_unloaded():
+    # the planning side is pure arithmetic; numpy loads with the first signal
+    code = "import alsalign, alsalign.cli, sys; print('numpy' in sys.modules)"
+    assert _fresh_numpy_loaded(code) == (0, False)
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, loads_numpy",
+    [
+        (["plan", "--venue", str(DEMO_VENUE), "--tolerance-ms", "30", "--out", "plan.json"], 0, False),
+        (["map", "--venue", str(DEMO_VENUE), "--plan", "demo-plan.json", "--out", "map.csv"], 0, False),
+        (["validate", "--config", str(DEMO_BROADCAST), "--mode", "strict"], 1, False),
+        # the audio commands must load it, or the checks above could pass vacuously
+        (["simulate", "--venue", str(DEMO_VENUE), "--plan", "demo-plan.json", "--seat", "K1", "--out", "r.json"], 0, True),
+        (
+            [
+                "autoconnect",
+                "--mic", "noise:7:1000:16000", "--snr-db", "0", "--seed", "42",
+                "--stream", "A=noise:7:1000:16000", "--stream", "B=noise:8:1000:16000",
+                "--max-lag-ms", "400", "--out", "selection.json",
+            ],
+            0,
+            True,
+        ),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_quick_start_loads_numpy_only_for_audio(tmp_path, argv, exit_code, loads_numpy):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(["plan", "--venue", str(DEMO_VENUE), "--out", str(tmp_path / "demo-plan.json")])
+    code = (
+        "import sys\n"
+        "from alsalign.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print('numpy' in sys.modules)\n"
+        "sys.exit(code)\n"
+    )
+    assert _fresh_numpy_loaded(code, *argv, cwd=tmp_path) == (exit_code, loads_numpy)
