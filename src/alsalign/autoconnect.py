@@ -6,10 +6,12 @@ integer lags, connect to the best-scoring stream, and reuse the peak lag
 as the listener's local alignment delay.
 
 The lag search is a generalized cross-correlation without weighting
-(Knapp & Carter, 1976): one FFT per (mic, stream) pair estimates every
-lag's score with a rounding bound, and the few lags that could still be
-the peak are re-scored with exact dot products. Lag and peak are
-therefore those of an exhaustive search, bit for bit.
+(Knapp & Carter, 1976): the mic is transformed once per selection (once
+per overlap length, when candidates are shorter than the mic), one FFT
+per stream then estimates every lag's score with a rounding bound, and
+the few lags that could still be the peak are re-scored with exact dot
+products. Lag and peak are therefore those of an exhaustive search, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -101,56 +103,89 @@ def _fft_size(min_size: int) -> int:
     return best
 
 
-def _best_lag(mic: Signal, stream: Signal, max_lag_samples: int) -> tuple[int, float]:
-    """First lag in 0..max_lag_samples with the highest NCC, and that NCC.
+def _max_lag(mic: Signal, max_lag_ms: float) -> int:
+    """max_lag_ms as a whole number of samples at the mic's rate."""
+    if not 0 <= max_lag_ms < math.inf:
+        raise ValueError(f"max_lag_ms must be >= 0, got {max_lag_ms}")
+    max_lag = max_lag_ms * mic.sample_rate_hz / 1000.0
+    if max_lag == math.inf:
+        raise ValueError(f"max_lag_ms {max_lag_ms} overflows at {mic.sample_rate_hz} Hz")
+    return round(max_lag)
+
+
+def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list[tuple[int, float]]:
+    """Per stream, the first lag in 0..max_lag_samples with the highest NCC, and that NCC.
 
     Every lag is scored as np.dot(s[:n-lag], m[lag:]) / denom[lag], or 0
     where the window norms vanish, and the result is exactly what
-    scoring them all gives. One FFT cross-correlation bounds each score
-    to within (4 * size * eps * |s| * |m|) / denom[lag]; the dot product
-    is taken only at lags whose upper bound reaches the best lower bound.
-    Window norms come from prefix and suffix sums of squares.
+    scoring them all gives. One FFT cross-correlation per stream bounds
+    each score to within (4 * size * eps * |s| * |m|) / denom[lag]; the
+    dot product is taken only at lags whose upper bound reaches the best
+    lower bound of that stream. Window norms come from prefix and suffix
+    sums of squares. Streams that share an overlap length n share the
+    mic's window norms and spectrum, and are scored as rows of one array.
     """
-    n = _check_pair(mic, stream)
-    if max_lag_samples < 0 or n - max_lag_samples < 2:
-        raise ValueError(
-            f"lag range 0..{max_lag_samples} leaves less than 2 samples of overlap "
-            f"(min signal length {n})"
-        )
+    lengths = []
+    for stream in streams:
+        n = _check_pair(mic, stream)
+        if max_lag_samples < 0 or n - max_lag_samples < 2:
+            raise ValueError(
+                f"lag range 0..{max_lag_samples} leaves less than 2 samples of overlap "
+                f"(min signal length {n})"
+            )
+        lengths.append(n)
     import numpy as np
 
-    m = mic.samples[:n]
-    s = stream.samples[:n]
     nlags = max_lag_samples + 1
+    results: list[tuple[int, float]] = [(0, 0.0)] * len(streams)
+    for n in sorted(set(lengths)):
+        rows = [k for k, length in enumerate(lengths) if length == n]
+        m = mic.samples[:n]
+        ss = [streams[k].samples[:n] for k in rows]
 
-    # stream window norms: cumulative |s[0:k]|^2 for k = n-max_lag .. n
-    s_head = np.concatenate(([0.0], np.cumsum(np.square(s))))
-    # mic window norms: tail sums |m[lag:n]|^2 for lag = 0 .. max_lag
-    m_tail = np.concatenate((np.cumsum(np.square(m)[::-1])[::-1], [0.0]))
-    denoms = np.sqrt(s_head[n - np.arange(nlags)]) * np.sqrt(m_tail[:nlags])
-    nonzero = denoms > 0.0
+        # window norms for lag = 0 .. max_lag: |s[0:n-lag]| from prefix sums
+        # of squares (a row per stream) and |m[lag:n]| from suffix sums
+        denoms = np.empty((len(rows), nlags))
+        for row, s in enumerate(ss):
+            denoms[row] = np.cumsum(np.square(s))[n - nlags :][::-1]
+        np.sqrt(denoms, out=denoms)
+        m_norms = np.sqrt(np.cumsum(np.square(m)[::-1])[::-1][:nlags])
+        norm_s, norm_m = denoms[:, 0].copy(), float(m_norms[0])
+        denoms *= m_norms
+        nonzero = denoms > 0.0
 
-    norm_s, norm_m = math.sqrt(s_head[n]), math.sqrt(m_tail[0])
-    if _FFT_MIN_NORM <= min(norm_s, norm_m) and max(norm_s, norm_m) <= _FFT_MAX_NORM:
+        # outside this range the FFT could overflow or lose precision to underflow
+        in_range = (_FFT_MIN_NORM <= np.minimum(norm_s, norm_m)) & (np.maximum(norm_s, norm_m) <= _FFT_MAX_NORM)
         size = _fft_size(n + max_lag_samples)  # no wrap-around into lags 0..max_lag
-        nums = np.fft.irfft(np.fft.rfft(m, size) * np.conj(np.fft.rfft(s, size)), size)[:nlags]
         # covers the rounding of the FFT and of np.dot (at most n * eps * |s| * |m|)
-        bound = 4 * size * _EPS * norm_s * norm_m
+        with np.errstate(over="ignore", invalid="ignore"):  # rows out of range never use it
+            bound = (4 * size * _EPS * norm_s * norm_m)[:, None]
         # below denom = bound a score's interval is wider than [-1, 1] and
         # dividing by denom can overflow: such lags are always scored exactly
-        sharp = denoms >= bound
-        approx = nums[sharp] / denoms[sharp]
-        radius = bound / denoms[sharp]
-        exact = nonzero.copy()
-        exact[sharp] = approx + radius >= np.max(approx - radius, initial=-np.inf)
-    else:
-        # outside this range the FFT could overflow or lose precision to underflow
-        exact = nonzero
-    scores = np.where(nonzero, -np.inf, 0.0)
-    for lag in np.flatnonzero(exact):
-        scores[lag] = np.dot(s[: n - lag], m[lag:]) / denoms[lag]
-    best = int(np.argmax(scores))  # argmax returns the first (smallest) lag on ties
-    return best, float(scores[best])
+        sharp = (denoms >= bound) & in_range[:, None]
+        nums = np.zeros_like(denoms)
+        if in_range.any():
+            m_spec = np.fft.rfft(m, size)
+            for row in np.flatnonzero(in_range):
+                nums[row] = np.fft.irfft(m_spec * np.conj(np.fft.rfft(ss[row], size)), size)[:nlags]
+        # each row keeps the lags whose upper bound reaches its best lower bound;
+        # at lags that are not sharp the quotients are unused and may be inf or nan
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            nums /= denoms  # the FFT's estimate of each score
+            radius = bound / denoms
+            lower = nums - radius
+            lower[~sharp] = -np.inf
+            nums += radius  # upper bounds
+            exact = np.where(sharp, nums >= lower.max(axis=1, keepdims=True), nonzero)
+        del nums, radius, lower  # (K, nlags) each: free them before scores is made
+
+        scores = np.where(nonzero, -np.inf, 0.0)
+        for row, lag in zip(*np.nonzero(exact)):
+            scores[row, lag] = np.dot(ss[row][: n - lag], m[lag:]) / denoms[row, lag]
+        best = np.argmax(scores, axis=1)  # argmax returns the first (smallest) lag on ties
+        for row, k in enumerate(rows):
+            results[k] = int(best[row]), float(scores[row, best[row]])
+    return results
 
 
 def estimate_alignment_delay(mic: Signal, stream: Signal, max_lag_ms: float) -> tuple[float, float]:
@@ -160,14 +195,11 @@ def estimate_alignment_delay(mic: Signal, stream: Signal, max_lag_ms: float) -> 
     an FFT cross-correlation narrows the search, and the lags it cannot
     rule out are re-scored with exact dot products. Ties in the peak
     value break to the smallest lag. The search is one-sided (lag >= 0):
-    the broadcast always precedes the acoustic signal here.
+    the broadcast always precedes the acoustic signal here. This is the
+    search select_stream runs for all its candidates at once, with the
+    mic transformed once per selection.
     """
-    if not 0 <= max_lag_ms < math.inf:
-        raise ValueError(f"max_lag_ms must be >= 0, got {max_lag_ms}")
-    max_lag = max_lag_ms * mic.sample_rate_hz / 1000.0
-    if max_lag == math.inf:
-        raise ValueError(f"max_lag_ms {max_lag_ms} overflows at {mic.sample_rate_hz} Hz")
-    best, peak = _best_lag(mic, stream, round(max_lag))
+    ((best, peak),) = _best_lags(mic, [stream], _max_lag(mic, max_lag_ms))
     return best * 1000.0 / mic.sample_rate_hz, peak
 
 
@@ -179,8 +211,10 @@ def select_stream(
 ) -> SelectionResult:
     """Pick the candidate with the highest correlation peak.
 
-    Candidates are scored in id order so ties break to the smallest id;
-    a best peak below the threshold yields a no-match result.
+    Every candidate is checked before any is searched, and the first
+    failing one in id order raises. Candidates are scored in id order so
+    ties break to the smallest id; a best peak below the threshold
+    yields a no-match result.
     """
     if not candidates:
         raise ValueError("select_stream requires at least one candidate")
@@ -189,16 +223,17 @@ def select_stream(
     ids = [c.id for c in candidates]
     if len(ids) != len(set(ids)):
         raise ValueError("duplicate candidate stream ids")
+    ordered = sorted(candidates, key=lambda c: c.id)
+    searched = _best_lags(mic, [c.signal for c in ordered], _max_lag(mic, max_lag_ms))
     best_id = None
     best_peak = -math.inf
     best_lag = None
-    for cand in sorted(candidates, key=lambda c: c.id):
-        lag_ms, peak = estimate_alignment_delay(mic, cand.signal, max_lag_ms)
+    for cand, (lag, peak) in zip(ordered, searched):
         if peak > best_peak:
-            best_id, best_peak, best_lag = cand.id, peak, lag_ms
+            best_id, best_peak, best_lag = cand.id, peak, lag
     if best_peak < threshold:
         return SelectionResult(None, float(best_peak), None)
-    return SelectionResult(best_id, float(best_peak), best_lag)
+    return SelectionResult(best_id, float(best_peak), best_lag * 1000.0 / mic.sample_rate_hz)
 
 
 def autoconnect_pipeline(

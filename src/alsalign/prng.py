@@ -41,21 +41,30 @@ class SplitMix64:
         """n uniform floats in [0, 1), identical to n next_float() calls.
 
         The k-th output only depends on state + k*gamma, so the block is
-        computed with vectorized uint64 arithmetic and the state is then
-        advanced past it.
+        computed with vectorized uint64 arithmetic (in place, wrapping mod
+        2**64) and the state is then advanced past it.
         """
         if n < 0:
             raise ValueError(f"block length must be >= 0, got {n}")
         import numpy as np
 
-        idx = np.arange(1, n + 1, dtype=np.uint64)
-        z = np.uint64(self._state) + idx * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
+        z = np.arange(1, n + 1, dtype=np.uint64)
+        z *= _GAMMA
+        z += self._state
+        shifted = np.empty_like(z)
+        for shift, mix in ((30, _MIX1), (27, _MIX2)):
+            z ^= np.right_shift(z, shift, out=shifted)
+            z *= mix
+        z ^= np.right_shift(z, 31, out=shifted)
+        z >>= 11
         self._state = (self._state + n * _GAMMA) & _MASK64
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = z.astype(np.float64)
+        u *= 2.0**-53
+        return u
 
     def symmetric_block(self, n: int) -> np.ndarray:
         """n uniform floats in [-1, 1)."""
-        return 2.0 * self.uniform_block(n) - 1.0
+        u = self.uniform_block(n)
+        u *= 2.0
+        u -= 1.0
+        return u

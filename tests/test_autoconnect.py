@@ -184,6 +184,77 @@ def test_silent_mic_scores_zero():
     assert loop_search(mic, stream, 250) == (0, 0.0)
 
 
+def loop_select(mic, candidates, max_lag, threshold):
+    """Selection as it was before the batched search: loop_search per
+    candidate in id order, keeping the first strictly greater peak."""
+    best_id, best_peak, best_lag = None, -math.inf, None
+    for cand in sorted(candidates, key=lambda c: c.id):
+        lag, peak = loop_search(mic, cand.signal, max_lag)
+        if peak > best_peak:
+            best_id, best_peak, best_lag = cand.id, peak, lag
+    if best_peak < threshold:
+        return None, best_peak, None
+    return best_id, best_peak, best_lag * 1000.0 / mic.sample_rate_hz
+
+
+def _planted_mic(rng, stream, lag, noise):
+    n = len(stream)
+    return np.concatenate((rng.normal(size=lag), stream[: n - lag])) + noise * rng.normal(size=n)
+
+
+def _mixed_lengths():
+    # overlap groups of 250, 300 and 400 samples: candidates shorter and
+    # longer than the 400-sample mic, which holds a copy of "D" at lag 60
+    rng = np.random.default_rng(23)
+    streams = {cid: rng.normal(size=length) for cid, length in zip("ABCDE", (250, 300, 300, 520, 400))}
+    return _planted_mic(rng, streams["D"][:400], 60, 0.5), streams, 200, "D"
+
+
+def _silent_and_constant():
+    rng = np.random.default_rng(29)
+    streams = {"const": np.full(300, 0.7), "silent": np.zeros(300), "noise": rng.normal(size=300)}
+    return _planted_mic(rng, streams["noise"], 25, 0.3), streams, 150, "noise"
+
+
+def _one_row_out_of_fft_range():
+    # "tiny" has a norm below 2**-450, so its row alone skips the FFT;
+    # it is the planted stream and must still win
+    rng = np.random.default_rng(31)
+    planted = rng.normal(size=300)
+    streams = {"other": rng.normal(size=300), "tiny": 1e-140 * planted, "zeta": rng.normal(size=300)}
+    return _planted_mic(rng, planted, 40, 0.2), streams, 120, "tiny"
+
+
+def _identical_pair():
+    # the same samples under "B" and "A": equal peaks break to the smaller id
+    rng = np.random.default_rng(37)
+    stream = rng.normal(size=320)
+    streams = {"B": stream, "A": stream.copy(), "C": rng.normal(size=320)}
+    return _planted_mic(rng, stream, 20, 0.5), streams, 100, "A"
+
+
+def _all_below_threshold():
+    # no candidate reaches the threshold; the best peak is still reported
+    rng = np.random.default_rng(41)
+    return rng.normal(size=400), {f"S{j}": rng.normal(size=400) for j in range(5)}, 150, None
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_mixed_lengths, _silent_and_constant, _one_row_out_of_fft_range, _identical_pair, _all_below_threshold],
+    ids=["mixed-lengths", "silent-and-constant", "one-row-out-of-fft-range", "identical-pair", "all-below-threshold"],
+)
+def test_select_stream_equals_loop_oracle(case):
+    mic_samples, streams, max_lag, winner = case()
+    mic = Signal(mic_samples, 8000)
+    candidates = [CandidateStream(cid, Signal(s, 8000)) for cid, s in streams.items()]
+    result = select_stream(mic, candidates, max_lag * 1000.0 / 8000, 0.3)
+    assert (result.stream_id, result.peak_ncc, result.lag_ms) == loop_select(mic, candidates, max_lag, 0.3)
+    assert result.stream_id == winner
+    if winner is None:
+        assert 0.0 < result.peak_ncc < 0.3
+
+
 class TestNormalizedCrossCorrelation:
     def test_self_similarity_is_one(self):
         sig = gen_white_noise(1, 100, 16000)
@@ -336,6 +407,27 @@ class TestSelectStream:
         sig = gen_white_noise(1, 100, 8000)
         with pytest.raises(ValueError):
             select_stream(sig, [CandidateStream("x", sig), CandidateStream("x", sig)], 10.0, 0.3)
+
+    def test_first_failing_candidate_in_id_order_raises(self):
+        # every candidate is checked before any is searched: "B" has the
+        # wrong rate and "C" leaves 1 sample of overlap at lag 100
+        mic = gen_white_noise(1, 25, 8000)  # 200 samples
+        cands = [
+            CandidateStream("C", gen_white_noise(2, 12.625, 8000)),  # 101 samples
+            CandidateStream("B", gen_white_noise(3, 25, 16000)),
+            CandidateStream("A", gen_white_noise(4, 25, 8000)),
+        ]
+        with pytest.raises(ValueError, match="^mismatched sample rates: mic 8000 vs stream 16000$"):
+            select_stream(mic, cands, 12.5, 0.3)
+        with pytest.raises(ValueError, match=r"^lag range 0\.\.100 leaves less than 2 samples"):
+            select_stream(mic, [cands[0], cands[2]], 12.5, 0.3)
+
+    @pytest.mark.parametrize("max_lag_ms", [-1.0, math.inf, math.nan])
+    def test_bad_max_lag_raises_before_candidate_errors(self, max_lag_ms):
+        mic = gen_white_noise(1, 25, 8000)
+        cands = [CandidateStream("A", gen_white_noise(3, 25, 16000)), CandidateStream("B", gen_white_noise(2, 1, 8000))]
+        with pytest.raises(ValueError, match="^max_lag_ms must be >= 0, got"):
+            select_stream(mic, cands, max_lag_ms, 0.3)
 
 
 class TestAutoconnectPipeline:

@@ -27,6 +27,22 @@ def test_uniform_block_matches_scalar_path():
         assert block.tolist() == expected
 
 
+@pytest.mark.parametrize("n", [257, 16_000])
+def test_symmetric_block_matches_scalar_path(n):
+    for seed in (0, 42, 2**64 - 1):
+        scalar = SplitMix64(seed)
+        expected = [2.0 * scalar.next_float() - 1.0 for _ in range(n)]
+        assert SplitMix64(seed).symmetric_block(n).tolist() == expected
+
+
+def test_empty_block_leaves_state_unchanged():
+    rng = SplitMix64(2**64 - 1)
+    block = rng.uniform_block(0)
+    assert block.dtype == np.float64
+    assert block.shape == (0,)
+    assert rng.next_u64() == SplitMix64(2**64 - 1).next_u64()
+
+
 def test_block_then_scalar_continues_the_stream():
     rng_a = SplitMix64(99)
     rng_a.uniform_block(10)
