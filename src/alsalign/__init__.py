@@ -21,7 +21,6 @@ from .autoconnect import (
     SelectionResult,
     autoconnect_pipeline,
     estimate_alignment_delay,
-    normalized_cross_correlation,
     select_stream,
 )
 from .broadcast import (

@@ -26,7 +26,6 @@ from .signals import Signal
 __all__ = [
     "CandidateStream",
     "SelectionResult",
-    "normalized_cross_correlation",
     "estimate_alignment_delay",
     "select_stream",
     "autoconnect_pipeline",
@@ -37,7 +36,10 @@ DEFAULT_THRESHOLD = 0.3
 
 # float64 machine epsilon, 2**-52; numpy is imported only inside the searches
 _EPS = sys.float_info.epsilon
-# signal norms for which the FFT bound holds: no overflow, no underflow that matters
+# signal norms for which the FFT bound holds. Above the range the FFT can
+# overflow. Below it the spectrum product underflows into subnormals, so
+# the relative error bound no longer holds (a 440 Hz tone at 1e-160 then
+# peaks 800 lags off).
 _FFT_MIN_NORM = 2.0**-450
 _FFT_MAX_NORM = 2.0**450
 
@@ -63,34 +65,6 @@ class SelectionResult:
     @property
     def matched(self) -> bool:
         return self.stream_id is not None
-
-
-def _check_pair(mic: Signal, stream: Signal) -> int:
-    if mic.sample_rate_hz != stream.sample_rate_hz:
-        raise ValueError(
-            f"mismatched sample rates: mic {mic.sample_rate_hz} vs stream {stream.sample_rate_hz}"
-        )
-    return min(len(mic), len(stream))
-
-
-def normalized_cross_correlation(mic: Signal, stream: Signal, lag_samples: int) -> float:
-    """Cosine similarity of stream[0:n-lag] and mic[lag:n], n = min length.
-
-    Result lies in [-1, 1] up to rounding; windows of zero norm score 0.
-    """
-    n = _check_pair(mic, stream)
-    if lag_samples < 0:
-        raise ValueError(f"lag_samples must be >= 0, got {lag_samples}")
-    if n - lag_samples < 2:
-        raise ValueError(f"overlap {n - lag_samples} too small (need >= 2) at lag {lag_samples}")
-    import numpy as np
-
-    s = stream.samples[: n - lag_samples]
-    m = mic.samples[lag_samples:n]
-    denom = np.sqrt(np.dot(s, s)) * np.sqrt(np.dot(m, m))
-    if denom == 0.0:
-        return 0.0
-    return float(np.dot(s, m) / denom)
 
 
 def _fft_size(min_size: int) -> int:
@@ -124,10 +98,15 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
     lower bound of that stream. Window norms come from prefix and suffix
     sums of squares. Streams that share an overlap length n share the
     mic's window norms and spectrum, and are scored as rows of one array.
+    Raises ValueError when a stream norm times the mic norm overflows.
     """
     lengths = []
     for stream in streams:
-        n = _check_pair(mic, stream)
+        if mic.sample_rate_hz != stream.sample_rate_hz:
+            raise ValueError(
+                f"mismatched sample rates: mic {mic.sample_rate_hz} vs stream {stream.sample_rate_hz}"
+            )
+        n = min(len(mic), len(stream))
         if max_lag_samples < 0 or n - max_lag_samples < 2:
             raise ValueError(
                 f"lag range 0..{max_lag_samples} leaves less than 2 samples of overlap "
@@ -146,20 +125,22 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
         # window norms for lag = 0 .. max_lag: |s[0:n-lag]| from prefix sums
         # of squares (a row per stream) and |m[lag:n]| from suffix sums
         denoms = np.empty((len(rows), nlags))
-        for row, s in enumerate(ss):
-            denoms[row] = np.cumsum(np.square(s))[n - nlags :][::-1]
-        np.sqrt(denoms, out=denoms)
-        m_norms = np.sqrt(np.cumsum(np.square(m)[::-1])[::-1][:nlags])
-        norm_s, norm_m = denoms[:, 0].copy(), float(m_norms[0])
-        denoms *= m_norms
+        with np.errstate(over="ignore", invalid="ignore"):  # signals this loud raise below
+            for row, s in enumerate(ss):
+                denoms[row] = np.cumsum(np.square(s))[n - nlags :][::-1]
+            np.sqrt(denoms, out=denoms)
+            m_norms = np.sqrt(np.cumsum(np.square(m)[::-1])[::-1][:nlags])
+            norm_s, norm_m = denoms[:, 0].copy(), float(m_norms[0])
+            denoms *= m_norms
+            if not np.isfinite(norm_s * norm_m).all():
+                raise ValueError("signals too loud: mic norm times stream norm overflows float64")
         nonzero = denoms > 0.0
 
         # outside this range the FFT could overflow or lose precision to underflow
         in_range = (_FFT_MIN_NORM <= np.minimum(norm_s, norm_m)) & (np.maximum(norm_s, norm_m) <= _FFT_MAX_NORM)
         size = _fft_size(n + max_lag_samples)  # no wrap-around into lags 0..max_lag
         # covers the rounding of the FFT and of np.dot (at most n * eps * |s| * |m|)
-        with np.errstate(over="ignore", invalid="ignore"):  # rows out of range never use it
-            bound = (4 * size * _EPS * norm_s * norm_m)[:, None]
+        bound = (4 * size * _EPS * norm_s * norm_m)[:, None]
         # below denom = bound a score's interval is wider than [-1, 1] and
         # dividing by denom can overflow: such lags are always scored exactly
         sharp = (denoms >= bound) & in_range[:, None]

@@ -9,6 +9,8 @@ result (no match, validation failure), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import wave
@@ -107,103 +109,77 @@ def parse_signal_source(spec: str) -> signals.Signal:
         raise CliError(f"cannot read WAV {spec!r}: {exc}") from None
 
 
-def _parse_mode(name: str) -> broadcast.SpecMode:
-    try:
-        return broadcast.SpecMode(name.lower())
-    except ValueError:
-        raise CliError(f"unknown mode {name!r} (expected strict or amended)") from None
-
-
-def run_plan(venue_path: str, tolerance_ms: float, out_path: str) -> int:
-    venue = _load(acoustics.load_venue, venue_path, "venue file")
+def run_plan(args: argparse.Namespace) -> int:
+    venue = _load(acoustics.load_venue, args.venue, "venue file")
     if not venue.seats:
         max_distance = 0.0
     else:
         max_distance = max(
             venue.nearest_loudspeaker_distance_m(s.position) for s in venue.seats
         )
-    plan = planner.plan_zones(max_distance, tolerance_ms, venue.speed_of_sound_m_per_s)
+    plan = planner.plan_zones(max_distance, args.tolerance_ms, venue.speed_of_sound_m_per_s)
     payload = _json_ready(planner.plan_to_dict(plan))
     # publish the span rounded up, so rounding never drops the farthest seat
     payload["zones"][-1]["delay_hi_ms"] = _ceil6(plan.span_ms)
     payload["zones"][-1]["distance_hi_m"] = _ceil6(plan.zones[-1].distance_hi_m)
-    _write_json(out_path, payload)
+    _write_json(args.out, payload)
     bound = plan.span_ms / (2 * len(plan.zones)) if plan.span_ms > 0 else 0.0
     print(f"zones: {len(plan.zones)}")
     print(f"max residual bound: {fmt(bound)} ms")
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-MAP_HEADER = "seat_id,distance_m,acoustic_delay_ms,zone,presentation_delay_ms,residual_ms,class"
+MAP_HEADER = ("seat_id", "distance_m", "acoustic_delay_ms", "zone", "presentation_delay_ms", "residual_ms", "class")
 
 
-def run_map(venue_path: str, plan_path: str, out_path: str) -> int:
-    venue = _load(acoustics.load_venue, venue_path, "venue file")
-    plan = _load(planner.load_plan, plan_path, "plan file")
+def run_map(args: argparse.Namespace) -> int:
+    venue = _load(acoustics.load_venue, args.venue, "venue file")
+    plan = _load(planner.load_plan, args.plan, "plan file")
     report = planner.verify_plan(venue, plan)
-    lines = [MAP_HEADER]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")  # quotes only the fields that need it
+    writer.writerow(MAP_HEADER)
     for row in report.seats:
+        seat = (row.seat_id, fmt(row.distance_m), fmt(row.acoustic_delay_ms))
         if row.covered:
-            lines.append(
-                ",".join(
-                    (
-                        row.seat_id,
-                        fmt(row.distance_m),
-                        fmt(row.acoustic_delay_ms),
-                        str(row.zone_index),
-                        fmt(row.presentation_delay_ms),
-                        fmt(row.residual_ms),
-                        row.distortion.value,
-                    )
-                )
-            )
+            zone = (str(row.zone_index), fmt(row.presentation_delay_ms), fmt(row.residual_ms), row.distortion.value)
         else:
-            lines.append(
-                ",".join(
-                    (row.seat_id, fmt(row.distance_m), fmt(row.acoustic_delay_ms), "", "", "", "uncovered")
-                )
-            )
-    _write(out_path, "\n".join(lines) + "\n")
+            zone = ("", "", "", "uncovered")
+        writer.writerow(seat + zone)
+    _write(args.out, text.getvalue())
     print(f"seats: {len(report.seats)}")
     print(f"max |residual|: {fmt(report.max_abs_residual_ms)} ms")
     if report.uncovered_seat_ids:
         print(f"uncovered seats: {len(report.uncovered_seat_ids)}")
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def run_simulate(
-    venue_path: str,
-    plan_path: str | None,
-    seat_id: str,
-    sample_rate_hz: int,
-    seed: int,
-    out_path: str,
-) -> int:
-    venue = _load(acoustics.load_venue, venue_path, "venue file")
+def run_simulate(args: argparse.Namespace) -> int:
+    venue = _load(acoustics.load_venue, args.venue, "venue file")
     try:
-        delay = acoustics.seat_acoustic_delay_ms(venue, seat_id)
+        delay = acoustics.seat_acoustic_delay_ms(venue, args.seat)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
     presentation = 0.0  # uncompensated unless a plan zone covers the seat
     uncovered = False
-    if plan_path is not None:
-        plan = _load(planner.load_plan, plan_path, "plan file")
+    if args.plan is not None:
+        plan = _load(planner.load_plan, args.plan, "plan file")
         try:
             presentation = planner.zone_for_delay(plan, delay).presentation_delay_ms
         except planner.UncoveredDelayError:
             uncovered = True
     residual = planner.residual_delay_ms(delay, presentation)
-    program = signals.gen_white_noise(seed, SIMULATE_PROGRAM_MS, sample_rate_hz)
+    program = signals.gen_white_noise(args.seed, SIMULATE_PROGRAM_MS, args.sample_rate_hz)
     ear = perception.ear_signal(program, program, residual, perception.MixSpec(1.0, 1.0))
     report = perception.DistortionReport(
-        seat_id=seat_id,
+        seat_id=args.seat,
         residual_ms=residual,
-        notch_frequencies_hz=tuple(perception.notch_frequencies(abs(residual), sample_rate_hz / 2.0)),
+        notch_frequencies_hz=tuple(perception.notch_frequencies(abs(residual), args.sample_rate_hz / 2.0)),
     )
     _write_json(
-        out_path,
+        args.out,
         {
             "seat_id": report.seat_id,
             "residual_ms": report.residual_ms,
@@ -212,43 +188,35 @@ def run_simulate(
         },
     )
     if uncovered:
-        print(f"seat {seat_id} is beyond the plan span; simulating uncompensated playback")
-    print(f"seat {seat_id}: residual {fmt(residual)} ms -> {report.distortion.value}")
+        print(f"seat {args.seat} is beyond the plan span; simulating uncompensated playback")
+    print(f"seat {args.seat}: residual {fmt(residual)} ms -> {report.distortion.value}")
     print(f"ear signal rms: {fmt(ear.rms())}")
-    print(f"wrote {out_path}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
-def run_autoconnect(
-    mic_source: str,
-    stream_sources: list[str],
-    max_lag_ms: float,
-    threshold: float,
-    mode: broadcast.SpecMode,
-    forced_stream: str | None,
-    out_path: str,
-    snr_db: float | None = None,
-    seed: int = 0,
-    sink_buffer_ms: float | None = None,
-) -> int:
-    mic = parse_signal_source(mic_source)
-    if snr_db is not None:
-        mic = signals.add_noise_snr(mic, snr_db, seed)
+def run_autoconnect(args: argparse.Namespace) -> int:
+    if not args.stream:
+        raise CliError("autoconnect needs at least one --stream ID=SOURCE")
+    mode = broadcast.SpecMode(args.mode)
+    mic = parse_signal_source(args.mic)
+    if args.snr_db is not None:
+        mic = signals.add_noise_snr(mic, args.snr_db, args.seed)
     candidates = []
-    for item in stream_sources:
+    for item in args.stream:
         stream_id, sep, src = item.partition("=")
         if not sep or not stream_id or not src:
             raise CliError(f"bad --stream {item!r}: expected <id>=<source>")
         candidates.append(autoconnect.CandidateStream(stream_id, parse_signal_source(src)))
     sink = (
-        broadcast.BroadcastSink(sink_buffer_ms)
-        if sink_buffer_ms is not None
+        broadcast.BroadcastSink(args.sink_buffer_ms)
+        if args.sink_buffer_ms is not None
         else broadcast.default_sink(mode)
     )
     payload: dict = {"mode": mode.value}
     try:
         result, updated = autoconnect.autoconnect_pipeline(
-            mic, candidates, sink, mode, max_lag_ms, threshold, forced_stream
+            mic, candidates, sink, mode, args.max_lag_ms, args.threshold, args.force_stream
         )
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from None
@@ -260,7 +228,7 @@ def run_autoconnect(
                 "detail": str(exc),
             }
         )
-        _write_json(out_path, payload)
+        _write_json(args.out, payload)
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if result.matched:
@@ -271,12 +239,12 @@ def run_autoconnect(
                 "peak_ncc": result.peak_ncc,
                 "lag_ms": result.lag_ms,
                 "applied_sink_delay_ms": updated.local_alignment_delay_ms,
-                "forced": forced_stream is not None,
+                "forced": args.force_stream is not None,
             }
         )
-        _write_json(out_path, payload)
+        _write_json(args.out, payload)
         print(f"match: {result.stream_id} (peak {fmt(result.peak_ncc)}, lag {fmt(result.lag_ms)} ms)")
-        print(f"wrote {out_path}")
+        print(f"wrote {args.out}")
         return EXIT_OK
     payload.update(
         {
@@ -287,16 +255,16 @@ def run_autoconnect(
             "forced": False,
         }
     )
-    _write_json(out_path, payload)
-    print(f"no match (best peak {fmt(result.peak_ncc)} below threshold {fmt(threshold)})")
-    print(f"wrote {out_path}")
+    _write_json(args.out, payload)
+    print(f"no match (best peak {fmt(result.peak_ncc)} below threshold {fmt(args.threshold)})")
+    print(f"wrote {args.out}")
     return EXIT_NEGATIVE
 
 
-def run_validate(config_path: str, mode_name: str | None) -> int:
-    source, file_mode = _load(broadcast.load_broadcast_config, config_path, "broadcast config")
-    if mode_name is not None:
-        mode = _parse_mode(mode_name)
+def run_validate(args: argparse.Namespace) -> int:
+    source, file_mode = _load(broadcast.load_broadcast_config, args.config, "broadcast config")
+    if args.mode is not None:
+        mode = broadcast.SpecMode(args.mode)
     elif file_mode is not None:
         mode = file_mode
     else:
@@ -323,11 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--venue", required=True, help="venue JSON file")
     p.add_argument("--tolerance-ms", type=float, default=30.0, help="max |residual| per seat (default 30)")
     p.add_argument("--out", required=True, help="output plan JSON")
+    p.set_defaults(run=run_plan)
 
     p = sub.add_parser("map", help="per-seat delay/residual/class CSV for a plan")
     p.add_argument("--venue", required=True)
     p.add_argument("--plan", required=True, help="plan JSON file")
     p.add_argument("--out", required=True, help="output CSV")
+    p.set_defaults(run=run_map)
 
     p = sub.add_parser("simulate", help="distortion report for one seat")
     p.add_argument("--venue", required=True)
@@ -336,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-rate-hz", type=int, default=16000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output report JSON")
+    p.set_defaults(run=run_simulate)
 
     p = sub.add_parser("autoconnect", help="select the broadcast stream matching a mic signal")
     p.add_argument("--mic", required=True, help="mic source: WAV path or noise:<seed>:<ms>:<sr> / sine:<hz>:<ms>:<sr>")
@@ -354,42 +325,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force-stream", default=None, help="connect to this stream id regardless of scores")
     p.add_argument("--sink-buffer-ms", type=float, default=None, help="override the sink buffer")
     p.add_argument("--out", required=True, help="output selection JSON")
+    p.set_defaults(run=run_autoconnect)
 
     p = sub.add_parser("validate", help="check a broadcast config against a rule set")
     p.add_argument("--config", required=True, help="broadcast config JSON")
     p.add_argument("--mode", choices=["strict", "amended"], default=None, help="override the file's mode")
+    p.set_defaults(run=run_validate)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "plan":
-            return run_plan(args.venue, args.tolerance_ms, args.out)
-        if args.command == "map":
-            return run_map(args.venue, args.plan, args.out)
-        if args.command == "simulate":
-            return run_simulate(args.venue, args.plan, args.seat, args.sample_rate_hz, args.seed, args.out)
-        if args.command == "autoconnect":
-            if not args.stream:
-                raise CliError("autoconnect needs at least one --stream ID=SOURCE")
-            return run_autoconnect(
-                args.mic,
-                args.stream,
-                args.max_lag_ms,
-                args.threshold,
-                _parse_mode(args.mode),
-                args.force_stream,
-                args.out,
-                snr_db=args.snr_db,
-                seed=args.seed,
-                sink_buffer_ms=args.sink_buffer_ms,
-            )
-        if args.command == "validate":
-            return run_validate(args.config, args.mode)
-        raise CliError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (CliError, ValueError) as exc:  # the library raises ValueError for every bad input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

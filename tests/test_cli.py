@@ -1,8 +1,12 @@
+import ast
 import contextlib
+import csv
+import importlib
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -128,6 +132,27 @@ class TestMapCommand:
         assert main(["map", "--venue", str(far_venue), "--plan", str(plan), "--out", str(out)]) == 0
         row = out.read_text().splitlines()[1]
         assert row.endswith(",uncovered")
+
+    def test_seat_ids_with_csv_specials_read_back(self, tmp_path):
+        ids = ["A,1", 'B"2', "C\n3", "D"]
+        venue = tmp_path / "venue.json"
+        venue.write_text(
+            json.dumps(
+                {
+                    "loudspeakers": [{"x_m": 0, "y_m": 0}],
+                    "seats": [{"id": seat, "x_m": 0, "y_m": 5.0 * k} for k, seat in enumerate(ids)],
+                }
+            )
+        )
+        plan = tmp_path / "plan.json"
+        out = tmp_path / "map.csv"
+        assert main(["plan", "--venue", str(venue), "--out", str(plan)]) == 0
+        assert main(["map", "--venue", str(venue), "--plan", str(plan), "--out", str(out)]) == 0
+        with out.open(newline="") as f:
+            rows = list(csv.reader(f))
+        assert [row[0] for row in rows] == ["seat_id", *ids]
+        assert {len(row) for row in rows} == {7}
+        assert [row[1] for row in rows[1:]] == ["0", "5", "10", "15"]  # distance_m, not a piece of an id
 
     def test_speed_mismatch_is_input_error(self, tmp_path, capsys):
         venue = write_venue_200ft(tmp_path)
@@ -287,9 +312,10 @@ class TestAutoconnectCommand:
         assert sel["outcome"] == "error"
         assert sel["error"] == "ParameterUnsupportedError"
 
-    def test_no_stream_is_usage_error(self, tmp_path):
+    def test_no_stream_is_usage_error(self, tmp_path, capsys):
         rc = main(["autoconnect", "--mic", "noise:1:100:8000", "--out", str(tmp_path / "x.json")])
         assert rc == 2
+        assert capsys.readouterr().err == "error: autoconnect needs at least one --stream ID=SOURCE\n"
 
     def test_bad_stream_spec_is_usage_error(self, tmp_path):
         rc = main(
@@ -589,6 +615,20 @@ def _fresh_numpy_loaded(code: str, *args: str, cwd=None) -> tuple[int, bool]:
     done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True)
     assert done.stderr == "", done.stderr
     return done.returncode, done.stdout.splitlines()[-1] == "True"
+
+
+def test_exports_name_existing_public_names():
+    # every name in a module's __all__ exists, and the package imports only
+    # such names, so removing a public name cannot leave a stale export
+    public = set()
+    for info in pkgutil.iter_modules(alsalign.__path__):
+        module = importlib.import_module(f"alsalign.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"alsalign.{info.name}.__all__ lists missing {name}"
+            public.add(name)
+    tree = ast.parse(Path(alsalign.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported and imported <= public, sorted(imported - public)
 
 
 def test_import_leaves_numpy_unloaded():
