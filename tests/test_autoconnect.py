@@ -258,19 +258,42 @@ def test_select_stream_equals_loop_oracle(case):
         assert 0.0 < result.peak_ncc < 0.3
 
 
+def score_at_lag(mic, stream, lag):
+    """NCC of the pair at one lag: the search's peak over the lag-0 window."""
+    n = min(len(mic), len(stream))
+    lag_ms, peak = estimate_alignment_delay(
+        Signal(mic.samples[lag:n], mic.sample_rate_hz), Signal(stream.samples[: n - lag], stream.sample_rate_hz), 0.0
+    )
+    assert lag_ms == 0.0
+    return peak
+
+
+class TestNormalizedCrossCorrelation:
+    def test_self_similarity_is_one(self):
+        sig = gen_white_noise(1, 100, 16000)
+        assert score_at_lag(sig, sig, 0) == pytest.approx(1.0, abs=1e-12)
+
+    def test_negation_is_minus_one(self):
+        sig = gen_white_noise(1, 100, 16000)
+        neg = Signal(-sig.samples, sig.sample_rate_hz)
+        assert score_at_lag(neg, sig, 0) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_bounded_for_many_inputs(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n = int(rng.integers(8, 200))
+            a = Signal(rng.normal(size=n), 8000)
+            b = Signal(rng.normal(size=n), 8000)
+            lag = int(rng.integers(0, n - 2))
+            assert abs(score_at_lag(a, b, lag)) <= 1.0 + 1e-9
+
+
 class TestEstimateAlignmentDelay:
     def test_identity_gives_zero_lag(self):
         sig = gen_white_noise(3, 200, 16000)
         lag_ms, peak = estimate_alignment_delay(sig, sig, 50.0)
         assert lag_ms == 0.0
         assert peak == pytest.approx(1.0, abs=1e-12)
-        # at max_lag_ms=0 the peak is the lag-0 score: 1 for the signal
-        # itself, -1 for its negation
-        neg = Signal(-sig.samples, sig.sample_rate_hz)
-        for mic, expected in ((sig, 1.0), (neg, -1.0)):
-            lag_ms, peak = estimate_alignment_delay(mic, sig, 0.0)
-            assert lag_ms == 0.0
-            assert peak == pytest.approx(expected, abs=1e-12)
 
     def test_noiseless_delay_recovered_exactly(self):
         stream = gen_white_noise(4, 1000, 16000)
