@@ -9,9 +9,10 @@ The lag search is a generalized cross-correlation without weighting
 (Knapp & Carter, 1976): the mic is transformed once per selection (once
 per overlap length, when candidates are shorter than the mic), one FFT
 per stream then estimates every lag's score with a rounding bound, and
-the few lags that could still be the peak are re-scored with exact dot
-products. Lag and peak are therefore those of an exhaustive search, bit
-for bit.
+the few lags that could still be the peak are re-scored exactly, as the
+pairwise sum of the window's products. Lag and peak are therefore those
+of an exhaustive search, bit for bit. No step calls BLAS, so the bits do
+not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ def _max_lag(mic: Signal, max_lag_ms: float) -> int:
 def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list[tuple[int, float]]:
     """Per stream, the first lag in 0..max_lag_samples with the highest NCC, and that NCC.
 
-    Every lag is scored as np.dot(s[:n-lag], m[lag:]) / denom[lag], or 0
-    where the window norms vanish, and the result is exactly what
+    Every lag is scored as np.add.reduce(s[:n-lag] * m[lag:]) / denom[lag],
+    or 0 where the window norms vanish, and the result is exactly what
     scoring them all gives. One FFT cross-correlation per stream bounds
     each score to within (4 * size * eps * |s| * |m|) / denom[lag]; the
-    dot product is taken only at lags whose upper bound reaches the best
+    exact score is taken only at lags whose upper bound reaches the best
     lower bound of that stream. Window norms come from prefix and suffix
     sums of squares. Streams that share an overlap length n share the
     mic's window norms and spectrum, and are scored as rows of one array.
@@ -139,7 +140,27 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
         # outside this range the FFT could overflow or lose precision to underflow
         in_range = (_FFT_MIN_NORM <= np.minimum(norm_s, norm_m)) & (np.maximum(norm_s, norm_m) <= _FFT_MAX_NORM)
         size = _fft_size(n + max_lag_samples)  # no wrap-around into lags 0..max_lag
-        # covers the rounding of the FFT and of np.dot (at most n * eps * |s| * |m|)
+        # The radius covers both roundings between an FFT estimate and the
+        # exact score it stands for. Here u = eps/2, L = log2(size),
+        # gamma_k = k*u/(1 - k*u), n <= size, and s_w, m_w are the windows
+        # at a lag (Higham, Accuracy and Stability of Numerical Algorithms,
+        # 2nd ed., 2002):
+        # - FFT (§24.1, Thm 24.2): a radix-2 transform with twiddles good to
+        #   u errs normwise by at most L*eta, eta = u + gamma_4*(sqrt(2) + u)
+        #   ~ 3.33 eps. Each spectrum is at most sqrt(n) times its signal's
+        #   norm in every bin, so the two forward transforms, the product
+        #   (sqrt(2)*gamma_2) and the inverse put every estimate within
+        #   (10 L + 3) * sqrt(size) * eps * |s| * |m|.
+        # - exact score: one rounded product per term, then numpy's pairwise
+        #   sum: eight running sums over blocks of at most 128 samples,
+        #   joined by a halving tree (§4.2). That is at most
+        #   k = min(n, ceil(log2 n) + 21) roundings deep, so the score errs by
+        #   at most gamma_k * sum|s_i m_i|. Any summation order, np.dot's
+        #   included, gives at most gamma_n. Either is <= n * eps * |s_w| *
+        #   |m_w| by Cauchy-Schwarz.
+        # The two add up to less than 4 * size * eps * |s| * |m| for
+        # size >= 576; below that the worst case of this chain exceeds the
+        # radius by up to 3x, and the oracle tests cover those sizes.
         bound = (4 * size * _EPS * norm_s * norm_m)[:, None]
         # below denom = bound a score's interval is wider than [-1, 1] and
         # dividing by denom can overflow: such lags are always scored exactly
@@ -161,8 +182,10 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
         del nums, radius, lower  # (K, nlags) each: free them before scores is made
 
         scores = np.where(nonzero, -np.inf, 0.0)
+        products = np.empty(n)
         for row, lag in zip(*np.nonzero(exact)):
-            scores[row, lag] = np.dot(ss[row][: n - lag], m[lag:]) / denoms[row, lag]
+            window = np.multiply(ss[row][: n - lag], m[lag:], out=products[: n - lag])
+            scores[row, lag] = np.add.reduce(window) / denoms[row, lag]
         best = np.argmax(scores, axis=1)  # argmax returns the first (smallest) lag on ties
         for row, k in enumerate(rows):
             results[k] = int(best[row]), float(scores[row, best[row]])
@@ -174,14 +197,25 @@ def estimate_alignment_delay(mic: Signal, stream: Signal, max_lag_ms: float) -> 
 
     The result is that of scoring every lag in 0..max_lag_ms exactly:
     an FFT cross-correlation narrows the search, and the lags it cannot
-    rule out are re-scored with exact dot products. Ties in the peak
-    value break to the smallest lag. The search is one-sided (lag >= 0):
+    rule out are re-scored exactly, as pairwise sums of products. Ties in
+    the peak value break to the smallest lag. The search is one-sided (lag >= 0):
     the broadcast always precedes the acoustic signal here. This is the
     search select_stream runs for all its candidates at once, with the
     mic transformed once per selection.
     """
     ((best, peak),) = _best_lags(mic, [stream], _max_lag(mic, max_lag_ms))
     return best * 1000.0 / mic.sample_rate_hz, peak
+
+
+def _check_candidates(candidates: list[CandidateStream], threshold: float) -> None:
+    """The checks select_stream and a forced connection both run first."""
+    if not candidates:
+        raise ValueError("select_stream requires at least one candidate")
+    if not 0 < threshold < 1:
+        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+    ids = [c.id for c in candidates]
+    if len(ids) != len(set(ids)):
+        raise ValueError("duplicate candidate stream ids")
 
 
 def select_stream(
@@ -197,13 +231,7 @@ def select_stream(
     ties break to the smallest id; a best peak below the threshold
     yields a no-match result.
     """
-    if not candidates:
-        raise ValueError("select_stream requires at least one candidate")
-    if not 0 < threshold < 1:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    ids = [c.id for c in candidates]
-    if len(ids) != len(set(ids)):
-        raise ValueError("duplicate candidate stream ids")
+    _check_candidates(candidates, threshold)
     ordered = sorted(candidates, key=lambda c: c.id)
     searched = _best_lags(mic, [c.signal for c in ordered], _max_lag(mic, max_lag_ms))
     best_id = None
@@ -228,12 +256,14 @@ def autoconnect_pipeline(
 ) -> tuple[SelectionResult, BroadcastSink]:
     """Scan, compare, connect: returns the selection and the updated sink.
 
-    A forced stream id overrides scoring entirely (manual override). On a
-    match the estimated lag becomes the sink's local alignment delay and
-    the sink must accept it under the given rule set; sink errors
-    propagate. On no match the sink is returned unchanged.
+    A forced stream id overrides scoring entirely (manual override), after
+    the same checks of the candidates and the threshold. On a match the
+    estimated lag becomes the sink's local alignment delay and the sink
+    must accept it under the given rule set; sink errors propagate. On no
+    match the sink is returned unchanged.
     """
     if forced_stream is not None:
+        _check_candidates(candidates, threshold)
         by_id = {c.id: c for c in candidates}
         if forced_stream not in by_id:
             raise KeyError(f"forced stream {forced_stream!r} is not among the candidates")

@@ -39,8 +39,8 @@ class SplitMix64:
         """Uniform float in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform_block(self, n: int) -> np.ndarray:
-        """n uniform floats in [0, 1), identical to n next_float() calls.
+    def _top53_block(self, n: int) -> np.ndarray:
+        """The top 53 bits of the next n outputs, as exact floats; advances past them.
 
         The k-th output only depends on state + k*gamma, so the block is
         computed with vectorized uint64 arithmetic (in place, wrapping mod
@@ -60,13 +60,21 @@ class SplitMix64:
         z ^= np.right_shift(z, 31, out=shifted)
         z >>= 11
         self._state = (self._state + n * _GAMMA) & _MASK64
-        u = z.astype(np.float64)
+        return z.astype(np.float64)
+
+    def uniform_block(self, n: int) -> np.ndarray:
+        """n uniform floats in [0, 1), identical to n next_float() calls."""
+        u = self._top53_block(n)
         u *= 2.0**-53
         return u
 
     def symmetric_block(self, n: int) -> np.ndarray:
-        """n uniform floats in [-1, 1)."""
-        u = self.uniform_block(n)
-        u *= 2.0
+        """n uniform floats in [-1, 1), identical to 2 * next_float() - 1.
+
+        Scaling by 2**-52 instead of 2**-53 and then by 2 is exact, and so is
+        subtracting 1 from a multiple of 2**-52 in [0, 2).
+        """
+        u = self._top53_block(n)
+        u *= 2.0**-52
         u -= 1.0
         return u

@@ -29,11 +29,17 @@ def brute_force_search(mic, stream, max_lag):
     return best_lag, best_val
 
 
-def loop_search(mic, stream, max_lag):
-    """The exhaustive search as it was before the FFT: one np.dot per lag.
+def pairwise_dot(s_window, m_window):
+    """The exact score's numerator: numpy's pairwise sum of the products, no BLAS."""
+    return np.add.reduce(s_window * m_window)
+
+
+def loop_search(mic, stream, max_lag, dot=pairwise_dot):
+    """The exhaustive search: one exact score per lag.
 
     Same arrays, expressions and tie-break as the library's exact
-    re-score, so its (lag, peak) must match bit for bit.
+    re-score, so its (lag, peak) must match bit for bit. With dot=np.dot
+    it is the search as it was before the FFT.
     """
     n = min(len(mic), len(stream))
     m = mic.samples[:n]
@@ -43,7 +49,7 @@ def loop_search(mic, stream, max_lag):
     m_tail = np.concatenate((np.cumsum(np.square(m)[::-1])[::-1], [0.0]))
     nums = np.empty(nlags)
     for lag in range(nlags):
-        nums[lag] = np.dot(s[: n - lag], m[lag:])
+        nums[lag] = dot(s[: n - lag], m[lag:])
     denoms = np.sqrt(s_head[n - np.arange(nlags)]) * np.sqrt(m_tail[:nlags])
     curve = np.zeros(nlags)
     nonzero = denoms > 0.0
@@ -146,6 +152,43 @@ def test_search_equals_loop_oracle(pairs):
         expected_lag, expected_peak = loop_search(mic, stream, max_lag)
         assert lag_ms == expected_lag * 1000.0 / mic.sample_rate_hz
         assert peak == expected_peak
+
+
+@pytest.mark.parametrize("pairs", [_random_pairs, _delayed_noisy_copies], ids=["random", "delayed-noisy"])
+def test_search_agrees_with_dot_loop(pairs):
+    # np.dot scored each lag before the pairwise sum did. Both are within
+    # n * eps of the true score, so the lags agree and the peaks differ by
+    # at most 2 * n * eps, plus an eps for the division.
+    eps = np.finfo(np.float64).eps
+    for mic, stream, max_lag in pairs():
+        n = min(len(mic), len(stream))
+        lag_ms, peak = estimate_alignment_delay(mic, stream, max_lag * 1000.0 / mic.sample_rate_hz)
+        dot_lag, dot_peak = loop_search(mic, stream, max_lag, dot=np.dot)
+        assert lag_ms == dot_lag * 1000.0 / mic.sample_rate_hz
+        assert abs(peak - dot_peak) <= 2 * n * eps + eps
+
+
+def test_same_bits_on_any_blas_thread_count(fresh_python):
+    # Windows of 12,800 to 16,000 samples: past OpenBLAS's 10,000-element
+    # cut-off, where a BLAS dot product would be threaded and round
+    # differently with the thread count.
+    code = """
+from alsalign.autoconnect import CandidateStream, estimate_alignment_delay, select_stream
+from alsalign.signals import add_noise_snr, delay_signal, gen_white_noise
+for seed in range(8):
+    stream = gen_white_noise(seed, 1000, 16000)
+    mic = add_noise_snr(delay_signal(stream, 25.0 * seed), 0.0, seed=100 + seed)
+    lag_ms, peak = estimate_alignment_delay(mic, stream, 400.0)
+    other = CandidateStream("B", gen_white_noise(50 + seed, 1000, 16000))
+    result = select_stream(mic, [CandidateStream("A", stream), other], 400.0)
+    print(lag_ms.hex(), peak.hex(), result.stream_id, result.lag_ms.hex(), result.peak_ncc.hex())
+"""
+    outputs = []
+    for threads in ("1", "2"):
+        done = fresh_python(code, env={"OPENBLAS_NUM_THREADS": threads}, check=True)
+        outputs.append(done.stdout.splitlines())
+    assert len(outputs[0]) == 8
+    assert outputs[0] == outputs[1]
 
 
 def test_eps_is_float64_machine_epsilon():
@@ -466,6 +509,26 @@ class TestAutoconnectPipeline:
         )
         assert result.stream_id == "B"
         assert result.peak_ncc < 0.3  # forced in spite of the low score
+
+    @pytest.mark.parametrize("forced_stream", [None, "A"], ids=["select", "forced"])
+    @pytest.mark.parametrize(
+        "ids, threshold, message",
+        [
+            ([], 0.3, "^select_stream requires at least one candidate$"),
+            (["A", "A"], 0.3, "^duplicate candidate stream ids$"),
+            (["A"], math.nan, r"^threshold must be in \(0, 1\), got nan$"),
+            (["A"], 5.0, r"^threshold must be in \(0, 1\), got 5.0$"),
+            (["A"], -1.0, r"^threshold must be in \(0, 1\), got -1.0$"),
+        ],
+        ids=["empty", "duplicate-ids", "threshold-nan", "threshold-5", "threshold-minus-1"],
+    )
+    def test_forced_stream_checks_candidates_like_select(self, ids, threshold, message, forced_stream):
+        sig = gen_white_noise(1, 100, 8000)
+        candidates = [CandidateStream(cid, gen_white_noise(k, 100, 8000)) for k, cid in enumerate(ids)]
+        with pytest.raises(ValueError, match=message):
+            autoconnect_pipeline(
+                sig, candidates, BroadcastSink(500.0), SpecMode.AMENDED, 10.0, threshold, forced_stream
+            )
 
     def test_forced_unknown_stream_rejected(self):
         sig = gen_white_noise(1, 100, 8000)

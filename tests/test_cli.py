@@ -5,10 +5,7 @@ import importlib
 import io
 import json
 import math
-import os
 import pkgutil
-import subprocess
-import sys
 import tempfile
 from pathlib import Path
 
@@ -317,6 +314,27 @@ class TestAutoconnectCommand:
         assert rc == 2
         assert capsys.readouterr().err == "error: autoconnect needs at least one --stream ID=SOURCE\n"
 
+    @pytest.mark.parametrize("force", [[], ["--force-stream", "A"]], ids=["select", "forced"])
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--stream", "A=noise:8:200:16000"], "duplicate candidate stream ids"),
+            (["--threshold", "nan"], "threshold must be in (0, 1), got nan"),
+            (["--threshold", "5"], "threshold must be in (0, 1), got 5.0"),
+            (["--threshold", "-1"], "threshold must be in (0, 1), got -1.0"),
+        ],
+        ids=["duplicate-ids", "threshold-nan", "threshold-5", "threshold-minus-1"],
+    )
+    def test_bad_candidates_are_usage_errors(self, tmp_path, capsys, extra, message, force):
+        # a forced stream skips the scoring, not the checks: it used to
+        # connect the second of two "A" streams and accept any threshold
+        out = tmp_path / "sel.json"
+        argv = ["autoconnect", "--mic", "noise:7:200:16000", "--stream", "A=noise:7:200:16000", *extra]
+        rc = main([*argv, "--max-lag-ms", "10", *force, "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_bad_stream_spec_is_usage_error(self, tmp_path):
         rc = main(
             [
@@ -596,23 +614,17 @@ class TestFuzz:
             assert err.getvalue().count("\n") == 1
 
 
-def test_import_leaves_numpy_fft_unloaded():
+def test_import_leaves_numpy_fft_unloaded(fresh_python):
     # numpy loads numpy.fft on first use; only an autoconnect search
     # should pay for it, not every CLI start-up
-    src_dir = str(Path(alsalign.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
     code = "import alsalign, alsalign.cli, sys; print('numpy.fft' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    done = fresh_python(code, check=True)
     assert done.stdout.strip() == "False"
 
 
-def _fresh_numpy_loaded(code: str, *args: str, cwd=None) -> tuple[int, bool]:
+def _fresh_numpy_loaded(fresh_python, code: str, *args: str, cwd=None) -> tuple[int, bool]:
     """Run code in a fresh interpreter; its last stdout line says whether numpy was loaded."""
-    src_dir = str(Path(alsalign.__file__).resolve().parent.parent)
-    path = os.pathsep.join(p for p in (src_dir, os.environ.get("PYTHONPATH")) if p)
-    env = {**os.environ, "PYTHONPATH": path}
-    done = subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True)
+    done = fresh_python(code, *args, cwd=cwd)
     assert done.stderr == "", done.stderr
     return done.returncode, done.stdout.splitlines()[-1] == "True"
 
@@ -631,10 +643,10 @@ def test_exports_name_existing_public_names():
     assert imported and imported <= public, sorted(imported - public)
 
 
-def test_import_leaves_numpy_unloaded():
+def test_import_leaves_numpy_unloaded(fresh_python):
     # the planning side is pure arithmetic; numpy loads with the first signal
     code = "import alsalign, alsalign.cli, sys; print('numpy' in sys.modules)"
-    assert _fresh_numpy_loaded(code) == (0, False)
+    assert _fresh_numpy_loaded(fresh_python, code) == (0, False)
 
 
 @pytest.mark.parametrize(
@@ -658,7 +670,7 @@ def test_import_leaves_numpy_unloaded():
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
-def test_quick_start_loads_numpy_only_for_audio(tmp_path, argv, exit_code, loads_numpy):
+def test_quick_start_loads_numpy_only_for_audio(fresh_python, tmp_path, argv, exit_code, loads_numpy):
     with contextlib.redirect_stdout(io.StringIO()):
         main(["plan", "--venue", str(DEMO_VENUE), "--out", str(tmp_path / "demo-plan.json")])
     code = (
@@ -668,4 +680,4 @@ def test_quick_start_loads_numpy_only_for_audio(tmp_path, argv, exit_code, loads
         "print('numpy' in sys.modules)\n"
         "sys.exit(code)\n"
     )
-    assert _fresh_numpy_loaded(code, *argv, cwd=tmp_path) == (exit_code, loads_numpy)
+    assert _fresh_numpy_loaded(fresh_python, code, *argv, cwd=tmp_path) == (exit_code, loads_numpy)
