@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 __all__ = [
     "SPEED_OF_SOUND_M_PER_S",
@@ -123,6 +123,27 @@ def _require_keys(entry, allowed: set[str], required: set[str], what: str) -> No
             raise ValueError(f"missing key {key!r} in {what}")
 
 
+_CONVERTERS = {"str": str, "int": int, "float": float}
+
+
+def _from_entries(cls, entries, what: str) -> list:
+    """Build one cls per config entry, with the dataclass fields as the schema.
+
+    The field names are the allowed keys, fields without a default are the
+    required ones, and each value goes through its field type's converter.
+    Absent optional keys take the field default.
+    """
+    schema = fields(cls)
+    allowed = {f.name for f in schema}
+    required = {f.name for f in schema if f.default is MISSING}
+    converters = [(f.name, _CONVERTERS[f.type]) for f in schema]
+    built = []
+    for i, entry in enumerate(entries):
+        _require_keys(entry, allowed, required, f"{what}[{i}]")
+        built.append(cls(**{name: convert(entry[name]) for name, convert in converters if name in entry}))
+    return built
+
+
 def venue_from_dict(data: dict) -> Venue:
     """Build a Venue from the JSON config schema; unknown keys are rejected."""
     _require_keys(
@@ -131,16 +152,13 @@ def venue_from_dict(data: dict) -> Venue:
         {"loudspeakers"},
         "venue config",
     )
-    loudspeakers = []
-    for i, entry in enumerate(data["loudspeakers"]):
-        _require_keys(entry, {"x_m", "y_m"}, {"x_m", "y_m"}, f"loudspeakers[{i}]")
-        loudspeakers.append(Position(float(entry["x_m"]), float(entry["y_m"])))
+    loudspeakers = _from_entries(Position, data["loudspeakers"], "loudspeakers")
     seats = []
     for i, entry in enumerate(data.get("seats", [])):
         _require_keys(entry, {"id", "x_m", "y_m"}, {"id", "x_m", "y_m"}, f"seats[{i}]")
         seats.append(Seat(str(entry["id"]), Position(float(entry["x_m"]), float(entry["y_m"]))))
     speed = float(data.get("speed_of_sound_m_per_s", SPEED_OF_SOUND_M_PER_S))
-    return Venue(tuple(loudspeakers), tuple(seats), speed)
+    return Venue(loudspeakers, seats, speed)
 
 
 def load_venue(path) -> Venue:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .acoustics import SPEED_OF_SOUND_M_PER_S, _require_keys, propagation_delay_ms
+from .acoustics import SPEED_OF_SOUND_M_PER_S, _from_entries, _require_keys, propagation_delay_ms
 
 __all__ = [
     "SpecMode",
@@ -253,41 +253,9 @@ def source_from_dict(data: dict) -> tuple[BroadcastSource, SpecMode | None]:
         transport = TransportKind(str(data.get("transport", "electromagnetic")).lower())
     except ValueError:
         raise ValueError(f"unknown transport {data['transport']!r} in broadcast config") from None
-    streams = []
-    for i, entry in enumerate(data.get("streams", [])):
-        _require_keys(
-            entry,
-            {"id", "sample_rate_hz", "channels", "airtime_fraction"},
-            {"id", "sample_rate_hz"},
-            f"streams[{i}]",
-        )
-        streams.append(
-            AudioStreamDescriptor(
-                id=str(entry["id"]),
-                sample_rate_hz=int(entry["sample_rate_hz"]),
-                channels=int(entry.get("channels", 1)),
-                airtime_fraction=float(entry.get("airtime_fraction", DEFAULT_STREAM_AIRTIME)),
-            )
-        )
-    trains = []
-    for i, entry in enumerate(data.get("trains", [])):
-        _require_keys(
-            entry,
-            {"id", "target_stream_id", "presentation_delay_ms", "codec", "channels", "airtime_fraction"},
-            {"id", "target_stream_id", "presentation_delay_ms"},
-            f"trains[{i}]",
-        )
-        trains.append(
-            AdvertisingTrain(
-                id=str(entry["id"]),
-                target_stream_id=str(entry["target_stream_id"]),
-                presentation_delay_ms=float(entry["presentation_delay_ms"]),
-                codec=str(entry.get("codec", "")),
-                channels=str(entry.get("channels", "")),
-                airtime_fraction=float(entry.get("airtime_fraction", DEFAULT_TRAIN_AIRTIME)),
-            )
-        )
-    return BroadcastSource(transport, tuple(streams), tuple(trains)), mode
+    streams = _from_entries(AudioStreamDescriptor, data.get("streams", []), "streams")
+    trains = _from_entries(AdvertisingTrain, data.get("trains", []), "trains")
+    return BroadcastSource(transport, streams, trains), mode
 
 
 def load_broadcast_config(path) -> tuple[BroadcastSource, SpecMode | None]:

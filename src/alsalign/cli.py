@@ -233,32 +233,21 @@ def run_autoconnect(args: argparse.Namespace) -> int:
         return EXIT_ERROR
     if result.matched:
         payload.update(
-            {
-                "outcome": "match",
-                "stream_id": result.stream_id,
-                "peak_ncc": result.peak_ncc,
-                "lag_ms": result.lag_ms,
-                "applied_sink_delay_ms": updated.local_alignment_delay_ms,
-                "forced": args.force_stream is not None,
-            }
+            outcome="match",
+            stream_id=result.stream_id,
+            peak_ncc=result.peak_ncc,
+            lag_ms=result.lag_ms,
+            applied_sink_delay_ms=updated.local_alignment_delay_ms,
+            forced=args.force_stream is not None,
         )
-        _write_json(args.out, payload)
-        print(f"match: {result.stream_id} (peak {fmt(result.peak_ncc)}, lag {fmt(result.lag_ms)} ms)")
-        print(f"wrote {args.out}")
-        return EXIT_OK
-    payload.update(
-        {
-            "outcome": "no-match",
-            "stream_id": None,
-            "peak_ncc": result.peak_ncc,
-            "lag_ms": None,
-            "forced": False,
-        }
-    )
+        message = f"match: {result.stream_id} (peak {fmt(result.peak_ncc)}, lag {fmt(result.lag_ms)} ms)"
+    else:
+        payload.update(outcome="no-match", stream_id=None, peak_ncc=result.peak_ncc, lag_ms=None, forced=False)
+        message = f"no match (best peak {fmt(result.peak_ncc)} below threshold {fmt(args.threshold)})"
     _write_json(args.out, payload)
-    print(f"no match (best peak {fmt(result.peak_ncc)} below threshold {fmt(args.threshold)})")
+    print(message)
     print(f"wrote {args.out}")
-    return EXIT_NEGATIVE
+    return EXIT_OK if result.matched else EXIT_NEGATIVE
 
 
 def run_validate(args: argparse.Namespace) -> int:

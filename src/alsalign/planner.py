@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .acoustics import Venue, _require_keys, delay_map, propagation_delay_ms
+from .acoustics import Venue, _from_entries, _require_keys, delay_map, propagation_delay_ms
 from .perception import DistortionClass, classify_residual
 
 __all__ = [
@@ -139,8 +139,7 @@ def zone_for_delay(plan: DelayPlan, acoustic_delay_ms: float) -> Zone:
         raise UncoveredDelayError(
             f"delay {acoustic_delay_ms} ms outside plan span [0, {plan.span_ms}]"
         )
-    lows = [z.delay_lo_ms for z in plan.zones]
-    return plan.zones[max(0, bisect_right(lows, acoustic_delay_ms) - 1)]
+    return plan.zones[max(0, bisect_right(plan.zones, acoustic_delay_ms, key=lambda z: z.delay_lo_ms) - 1)]
 
 
 def residual_delay_ms(acoustic_delay_ms: float, presentation_delay_ms: float) -> float:
@@ -232,28 +231,8 @@ def plan_to_dict(plan: DelayPlan) -> dict:
 def plan_from_dict(data: dict) -> DelayPlan:
     plan_keys = {"tolerance_ms", "speed_of_sound_m_per_s", "zones"}
     _require_keys(data, plan_keys, plan_keys, "plan")
-    zone_keys = {
-        "index",
-        "delay_lo_ms",
-        "delay_hi_ms",
-        "presentation_delay_ms",
-        "distance_lo_m",
-        "distance_hi_m",
-    }
-    zones = []
-    for i, entry in enumerate(data["zones"]):
-        _require_keys(entry, zone_keys, zone_keys, f"zones[{i}]")
-        zones.append(
-            Zone(
-                index=int(entry["index"]),
-                delay_lo_ms=float(entry["delay_lo_ms"]),
-                delay_hi_ms=float(entry["delay_hi_ms"]),
-                presentation_delay_ms=float(entry["presentation_delay_ms"]),
-                distance_lo_m=float(entry["distance_lo_m"]),
-                distance_hi_m=float(entry["distance_hi_m"]),
-            )
-        )
-    return DelayPlan(float(data["tolerance_ms"]), float(data["speed_of_sound_m_per_s"]), tuple(zones))
+    zones = _from_entries(Zone, data["zones"], "zones")
+    return DelayPlan(float(data["tolerance_ms"]), float(data["speed_of_sound_m_per_s"]), zones)
 
 
 def load_plan(path) -> DelayPlan:

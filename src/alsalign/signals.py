@@ -29,7 +29,7 @@ __all__ = [
     "write_wav",
 ]
 
-# checked before any synthetic signal is allocated; 625 s at 16 kHz
+# checked before any signal is allocated or read; 625 s at 16 kHz
 _MAX_SAMPLES = 10_000_000
 
 
@@ -188,5 +188,8 @@ def read_wav(path) -> Signal:
             raise ValueError(f"expected mono WAV, got {w.getnchannels()} channels")
         if w.getsampwidth() != 2:
             raise ValueError(f"expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
-        pcm = np.frombuffer(w.readframes(w.getnframes()), dtype="<i2")
+        n = w.getnframes()
+        if n > _MAX_SAMPLES:
+            raise ValueError(f"{n} frames at {w.getframerate()} Hz is more than {_MAX_SAMPLES} samples")
+        pcm = np.frombuffer(w.readframes(n), dtype="<i2")
         return Signal(pcm.astype(np.float64) / 32768.0, w.getframerate())

@@ -112,14 +112,15 @@ class TestVenueConfig:
     def test_minimal_roundtrip(self, tmp_path):
         cfg = {
             "speed_of_sound_m_per_s": 340.0,
-            "loudspeakers": [{"x_m": 0, "y_m": 0}],
+            "loudspeakers": [{"x_m": 0, "y_m": 0}, {"y_m": -2.5, "x_m": 3}],
             "seats": [{"id": "A1", "x_m": 0, "y_m": 5}],
         }
         path = tmp_path / "venue.json"
         path.write_text(json.dumps(cfg))
         venue = load_venue(path)
-        assert venue.speed_of_sound_m_per_s == 340.0
-        assert venue.seat("A1").position.y_m == 5.0
+        # repr also pins int against float
+        expected = Venue((Position(0.0, 0.0), Position(3.0, -2.5)), (Seat("A1", Position(0.0, 5.0)),), 340.0)
+        assert repr(venue) == repr(expected)
 
     def test_speed_defaults_to_343(self):
         venue = venue_from_dict({"loudspeakers": [{"x_m": 0, "y_m": 0}], "seats": []})

@@ -193,7 +193,10 @@ class TestBroadcastConfigFile:
         cfg = {
             "mode": "strict",
             "transport": "electromagnetic",
-            "streams": [{"id": "s1", "sample_rate_hz": 48000, "channels": 2, "airtime_fraction": 0.30}],
+            "streams": [
+                {"id": "s1", "sample_rate_hz": 48000, "channels": 2, "airtime_fraction": 0.30},
+                {"id": "s2", "sample_rate_hz": 16000},
+            ],
             "trains": [
                 {
                     "id": "t1",
@@ -202,16 +205,24 @@ class TestBroadcastConfigFile:
                     "codec": "lc3-48-2",
                     "channels": "stereo",
                     "airtime_fraction": 0.01,
-                }
+                },
+                {"id": "t2", "target_stream_id": "s2", "presentation_delay_ms": 5},
             ],
         }
         path = tmp_path / "bc.json"
         path.write_text(json.dumps(cfg))
         source, mode = load_broadcast_config(path)
         assert mode is SpecMode.STRICT
-        assert source.transport is TransportKind.ELECTROMAGNETIC
-        assert source.streams[0].id == "s1"
-        assert source.trains[0].presentation_delay_ms == 30.0
+        # absent keys take the dataclass defaults; repr also pins int against float
+        expected = BroadcastSource(
+            TransportKind.ELECTROMAGNETIC,
+            (AudioStreamDescriptor("s1", 48000, 2, 0.30), AudioStreamDescriptor("s2", 16000, 1, 0.30)),
+            (
+                AdvertisingTrain("t1", "s1", 30.0, "lc3-48-2", "stereo", 0.01),
+                AdvertisingTrain("t2", "s2", 5.0, "", "", 0.01),
+            ),
+        )
+        assert repr(source) == repr(expected)
 
     def test_mode_is_optional(self):
         source, mode = source_from_dict({"streams": [], "trains": []})

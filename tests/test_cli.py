@@ -309,6 +309,17 @@ class TestAutoconnectCommand:
         assert sel["outcome"] == "error"
         assert sel["error"] == "ParameterUnsupportedError"
 
+    def test_wav_over_sample_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
+        wav = tmp_path / "mic.wav"
+        write_wav(gen_white_noise(7, 10, 16000), wav)
+        # the cap is lowered so that no large file is written
+        monkeypatch.setattr(alsalign.signals, "_MAX_SAMPLES", 100)
+        argv = ["autoconnect", "--mic", str(wav), "--stream", "A=noise:7:5:16000", "--out", str(tmp_path / "o.json")]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: cannot read WAV {str(wav)!r}: 160 frames at 16000 Hz is more than 100 samples\n"
+
     def test_no_stream_is_usage_error(self, tmp_path, capsys):
         rc = main(["autoconnect", "--mic", "noise:1:100:8000", "--out", str(tmp_path / "x.json")])
         assert rc == 2
@@ -394,23 +405,36 @@ class TestDeterminism:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
+ZONE_KEYS = ("delay_lo_ms", "delay_hi_ms", "presentation_delay_ms", "distance_lo_m", "distance_hi_m")
+
 # input file kind -> (argv that reads the file, config with an unknown key and the section
-# named in the error, config whose first entry is not an object and that entry's name)
+# named in the error, config whose first entry is not an object and that entry's name,
+# config with an entry value that its field's type cannot convert and the conversion error)
 INPUT_FILES = {
     "venue file": (
         lambda path, tmp: ["plan", "--venue", path, "--out", str(tmp / "p.json")],
         ({"loudspeakers": [{"x_m": 0, "y_m": 0}], "zzz": 1}, "venue config"),
         ({"loudspeakers": [[0, 0]]}, "loudspeakers[0]"),
+        ({"loudspeakers": [{"x_m": 0, "y_m": [1]}]}, "float() argument must be a string or a real number, not 'list'"),
     ),
     "plan file": (
         lambda path, tmp: ["map", "--venue", str(DEMO_VENUE), "--plan", path, "--out", str(tmp / "m.csv")],
         ({"tolerance_ms": 30, "speed_of_sound_m_per_s": 343, "zones": [], "zzz": 1}, "plan"),
         ({"tolerance_ms": 30, "speed_of_sound_m_per_s": 343, "zones": [[0]]}, "zones[0]"),
+        (
+            {
+                "tolerance_ms": 30,
+                "speed_of_sound_m_per_s": 343,
+                "zones": [{"index": 0, **dict.fromkeys(ZONE_KEYS, "x")}],
+            },
+            "could not convert string to float: 'x'",
+        ),
     ),
     "broadcast config": (
         lambda path, tmp: ["validate", "--config", path],
         ({"zzz": 1}, "broadcast config"),
         ({"streams": [1]}, "streams[0]"),
+        ({"streams": [{"id": "S", "sample_rate_hz": "x"}]}, "invalid literal for int() with base 10: 'x'"),
     ),
 }
 
@@ -418,10 +442,12 @@ INPUT_FILES = {
 class TestInputErrorMessages:
     """Every input fault is exit 2 with exactly one pinned error line."""
 
-    @pytest.mark.parametrize("fault", ["missing", "directory", "invalid-json", "unknown-key", "non-object-entry"])
+    @pytest.mark.parametrize(
+        "fault", ["missing", "directory", "invalid-json", "unknown-key", "non-object-entry", "bad-value"]
+    )
     @pytest.mark.parametrize("what", list(INPUT_FILES))
     def test_input_file_fault(self, tmp_path, capsys, what, fault):
-        argv_for, (unknown_cfg, section), (entry_cfg, entry) = INPUT_FILES[what]
+        argv_for, (unknown_cfg, section), (entry_cfg, entry), (value_cfg, conversion_error) = INPUT_FILES[what]
         path = tmp_path / "input.json"
         if fault == "missing":
             expected = f"{what} not found: {path}"
@@ -437,9 +463,12 @@ class TestInputErrorMessages:
         elif fault == "unknown-key":
             path.write_text(json.dumps(unknown_cfg))
             expected = f"bad {what} {path}: unknown key 'zzz' in {section}"
-        else:
+        elif fault == "non-object-entry":
             path.write_text(json.dumps(entry_cfg))
             expected = f"bad {what} {path}: {entry} must be a JSON object"
+        else:
+            path.write_text(json.dumps(value_cfg))
+            expected = f"bad {what} {path}: {conversion_error}"
         assert main(argv_for(str(path), tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
 
@@ -450,7 +479,6 @@ class TestInputErrorMessages:
 
 
 MIC = ["--mic", "noise:7:200:16000", "--stream", "A=noise:7:200:16000", "--max-lag-ms=50"]
-ZONE_KEYS = ("delay_lo_ms", "delay_hi_ms", "presentation_delay_ms", "distance_lo_m", "distance_hi_m")
 
 
 class TestOutOfRangeInputs:
@@ -525,22 +553,31 @@ NUMBERS = st.one_of(
 # durations stay at 200 ms or below unless they are meant to trip a check
 DURATIONS = st.one_of(st.floats(0.0, 200.0), st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 1e308, 1e-300]))
 RATES = st.one_of(st.sampled_from([8000, 16000]), st.integers(-10, 48000), st.just(10**12))
-POSITIONS = st.fixed_dictionaries({"x_m": NUMBERS, "y_m": NUMBERS})
+# config entry values: numbers, or a JSON null, string, list, object or bool
+VALUES = st.one_of(
+    NUMBERS,
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.booleans(),
+)
+POSITIONS = st.fixed_dictionaries({"x_m": VALUES, "y_m": VALUES})
 VENUES = st.fixed_dictionaries(
     {
         "loudspeakers": st.lists(POSITIONS, min_size=1, max_size=2),
         "seats": st.lists(POSITIONS, max_size=3).map(lambda ps: [{"id": f"S{i}", **p} for i, p in enumerate(ps)]),
     },
-    optional={"speed_of_sound_m_per_s": st.one_of(st.just(343.0), NUMBERS)},
+    optional={"speed_of_sound_m_per_s": st.one_of(st.just(343.0), VALUES)},
 )
 PLANS = st.one_of(
     st.builds(lambda d, t: plan_to_dict(plan_zones(d, t)), st.floats(0.0, 100.0), st.floats(1.0, 100.0)),
     st.fixed_dictionaries(
         {
-            "tolerance_ms": NUMBERS,
-            "speed_of_sound_m_per_s": NUMBERS,
+            "tolerance_ms": VALUES,
+            "speed_of_sound_m_per_s": VALUES,
             "zones": st.lists(
-                st.fixed_dictionaries({k: NUMBERS for k in ZONE_KEYS}), min_size=1, max_size=2
+                st.fixed_dictionaries({k: VALUES for k in ZONE_KEYS}), min_size=1, max_size=2
             ).map(lambda zs: [{"index": i, **z} for i, z in enumerate(zs)]),
         }
     ),
@@ -548,13 +585,13 @@ PLANS = st.one_of(
 BROADCASTS = st.fixed_dictionaries(
     {
         "streams": st.just([{"id": "S", "sample_rate_hz": 16000}])
-        | st.builds(lambda r, a: [{"id": "S", "sample_rate_hz": r, "airtime_fraction": a}], NUMBERS, NUMBERS),
+        | st.builds(lambda r, a: [{"id": "S", "sample_rate_hz": r, "airtime_fraction": a}], VALUES, VALUES),
         "trains": st.lists(
             st.builds(
                 lambda i, d, a: {"id": f"T{i}", "target_stream_id": "S", "presentation_delay_ms": d, "airtime_fraction": a},
                 st.integers(0, 9),
-                NUMBERS,
-                NUMBERS,
+                VALUES,
+                VALUES,
             ),
             max_size=2,
             unique_by=lambda t: t["id"],

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alsalign import signals
 from alsalign.signals import (
     Signal,
     add_noise_snr,
@@ -196,6 +197,15 @@ class TestWav:
         back = read_wav(path)
         assert back.samples[0] == -1.0
         assert back.samples[2] == 32767.0 / 32768.0
+
+    def test_frame_count_over_cap_rejected_before_reading(self, tmp_path, monkeypatch):
+        path = tmp_path / "long.wav"
+        write_wav(gen_white_noise(7, 10, 16000), path)
+        monkeypatch.setattr(signals, "_MAX_SAMPLES", 160)
+        assert len(read_wav(path)) == 160
+        monkeypatch.setattr(signals, "_MAX_SAMPLES", 159)
+        with pytest.raises(ValueError, match="^160 frames at 16000 Hz is more than 159 samples$"):
+            read_wav(path)
 
 
 NAN, INF = float("nan"), float("inf")
