@@ -553,31 +553,22 @@ NUMBERS = st.one_of(
 # durations stay at 200 ms or below unless they are meant to trip a check
 DURATIONS = st.one_of(st.floats(0.0, 200.0), st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 1e308, 1e-300]))
 RATES = st.one_of(st.sampled_from([8000, 16000]), st.integers(-10, 48000), st.just(10**12))
-# config entry values: numbers, or a JSON null, string, list, object or bool
-VALUES = st.one_of(
-    NUMBERS,
-    st.none(),
-    st.text(max_size=3),
-    st.lists(st.integers(), max_size=2),
-    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
-    st.booleans(),
-)
-POSITIONS = st.fixed_dictionaries({"x_m": VALUES, "y_m": VALUES})
+POSITIONS = st.fixed_dictionaries({"x_m": NUMBERS, "y_m": NUMBERS})
 VENUES = st.fixed_dictionaries(
     {
         "loudspeakers": st.lists(POSITIONS, min_size=1, max_size=2),
         "seats": st.lists(POSITIONS, max_size=3).map(lambda ps: [{"id": f"S{i}", **p} for i, p in enumerate(ps)]),
     },
-    optional={"speed_of_sound_m_per_s": st.one_of(st.just(343.0), VALUES)},
+    optional={"speed_of_sound_m_per_s": st.one_of(st.just(343.0), NUMBERS)},
 )
 PLANS = st.one_of(
     st.builds(lambda d, t: plan_to_dict(plan_zones(d, t)), st.floats(0.0, 100.0), st.floats(1.0, 100.0)),
     st.fixed_dictionaries(
         {
-            "tolerance_ms": VALUES,
-            "speed_of_sound_m_per_s": VALUES,
+            "tolerance_ms": NUMBERS,
+            "speed_of_sound_m_per_s": NUMBERS,
             "zones": st.lists(
-                st.fixed_dictionaries({k: VALUES for k in ZONE_KEYS}), min_size=1, max_size=2
+                st.fixed_dictionaries({k: NUMBERS for k in ZONE_KEYS}), min_size=1, max_size=2
             ).map(lambda zs: [{"index": i, **z} for i, z in enumerate(zs)]),
         }
     ),
@@ -585,19 +576,28 @@ PLANS = st.one_of(
 BROADCASTS = st.fixed_dictionaries(
     {
         "streams": st.just([{"id": "S", "sample_rate_hz": 16000}])
-        | st.builds(lambda r, a: [{"id": "S", "sample_rate_hz": r, "airtime_fraction": a}], VALUES, VALUES),
+        | st.builds(lambda r, a: [{"id": "S", "sample_rate_hz": r, "airtime_fraction": a}], NUMBERS, NUMBERS),
         "trains": st.lists(
             st.builds(
                 lambda i, d, a: {"id": f"T{i}", "target_stream_id": "S", "presentation_delay_ms": d, "airtime_fraction": a},
                 st.integers(0, 9),
-                VALUES,
-                VALUES,
+                NUMBERS,
+                NUMBERS,
             ),
             max_size=2,
             unique_by=lambda t: t["id"],
         ),
     },
     optional={"mode": st.sampled_from(["strict", "amended"])},
+)
+
+# JSON values other than numbers: null, string, list, object and bool
+NON_NUMBERS = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.booleans(),
 )
 
 
@@ -646,6 +646,44 @@ class TestFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main(argv)
         assert rc in (0, 1, 2)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_non_number_entry_value(self, data):
+        # valid configs with one value of one entry drawn from NON_NUMBERS: the
+        # command that reads it either accepts the value or exits 2 with one error line
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            venue, plan, config, out = tmp / "venue.json", tmp / "plan.json", tmp / "bc.json", str(tmp / "out")
+            configs = {
+                venue: json.loads(DEMO_VENUE.read_text()),
+                plan: plan_to_dict(plan_zones(100.0, 30.0)),
+                config: json.loads(DEMO_BROADCAST.read_text()),
+            }
+            spoiled = data.draw(st.sampled_from(list(configs)))
+            slots = [(entry, key) for v in configs[spoiled].values() if isinstance(v, list) for entry in v for key in entry]
+            entry, key = data.draw(st.sampled_from(slots))
+            was_number = not isinstance(entry[key], str)
+            entry[key] = value = data.draw(NON_NUMBERS)
+            for path, content in configs.items():
+                path.write_text(json.dumps(content))
+            map_argv = ["map", "--venue", str(venue), "--plan", str(plan), "--out", out]
+            simulate_argv = ["simulate", "--venue", str(venue), "--plan", str(plan), "--seat", "A1", "--out", out]
+            readers = {
+                venue: [["plan", "--venue", str(venue), "--out", out], map_argv, simulate_argv],
+                plan: [map_argv, simulate_argv],
+                config: [["validate", "--config", str(config)]],
+            }
+            argv = data.draw(st.sampled_from(readers[spoiled]))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main(argv)
+        assert rc in (0, 1, 2)
+        if was_number and (value is None or isinstance(value, (list, dict))):
+            assert rc == 2  # no numeric field converts null, a list or an object
         if rc == 2:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
