@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 
 __all__ = [
@@ -60,7 +61,7 @@ class Venue:
             raise ValueError(f"speed of sound must be > 0, got {self.speed_of_sound_m_per_s}")
         ids = [s.id for s in self.seats]
         if len(ids) != len(set(ids)):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+            dup = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValueError(f"duplicate seat ids: {dup}")
 
     def seat(self, seat_id: str) -> Seat:

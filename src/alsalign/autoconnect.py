@@ -99,6 +99,11 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
     lower bound of that stream. Window norms come from prefix and suffix
     sums of squares. Streams that share an overlap length n share the
     mic's window norms and spectrum, and are scored as rows of one array.
+    Each overlap length gets one work block, and every float array of its
+    search is a view into it, written in place: the two spectra, one line
+    for the squares, a correlation row and the re-score products, and
+    three (streams, lags) arrays for the denominators, the estimates and
+    upper bounds, and the radii, lower bounds and scores.
     Raises ValueError when a stream norm times the mic norm overflows.
     """
     lengths = []
@@ -122,15 +127,34 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
         rows = [k for k, length in enumerate(lengths) if length == n]
         m = mic.samples[:n]
         ss = [streams[k].samples[:n] for k in rows]
+        size = _fft_size(n + max_lag_samples)  # no wrap-around into lags 0..max_lag
+        bins = size // 2 + 1
+        cells = len(rows) * nlags
+
+        # One work block for this overlap length; every float array below is a
+        # view into it. On glibc this also keeps the search's memory mapped
+        # between searches: the first free of a block above the mmap
+        # threshold raises that threshold to the block's size, and the trim
+        # threshold to twice that (the dynamic threshold of mallopt(3),
+        # M_MMAP_THRESHOLD). From then on the block, pocketfft's scratch and
+        # the caller's signals come from the heap, which is given back to the
+        # OS, and page-faulted in again, only when more than twice the block
+        # lies free at its top.
+        block = np.empty(3 * cells + 4 * bins + size)
+        denoms, nums, scores = block[: 3 * cells].reshape(3, len(rows), nlags)
+        m_spec, s_spec = block[3 * cells : 3 * cells + 4 * bins].view(np.complex128).reshape(2, bins)
+        line = block[3 * cells + 4 * bins :]  # squares, then a correlation row, then products
 
         # window norms for lag = 0 .. max_lag: |s[0:n-lag]| from prefix sums
         # of squares (a row per stream) and |m[lag:n]| from suffix sums
-        denoms = np.empty((len(rows), nlags))
+        squares = line[:n]
         with np.errstate(over="ignore", invalid="ignore"):  # signals this loud raise below
             for row, s in enumerate(ss):
-                denoms[row] = np.cumsum(np.square(s))[n - nlags :][::-1]
+                np.cumsum(np.square(s, out=squares), out=squares)
+                denoms[row] = squares[n - nlags :][::-1]
             np.sqrt(denoms, out=denoms)
-            m_norms = np.sqrt(np.cumsum(np.square(m)[::-1])[::-1][:nlags])
+            np.cumsum(np.square(m[::-1], out=squares), out=squares)
+            m_norms = np.sqrt(squares[n - nlags :], out=squares[n - nlags :])[::-1]
             norm_s, norm_m = denoms[:, 0].copy(), float(m_norms[0])
             denoms *= m_norms
             if not np.isfinite(norm_s * norm_m).all():
@@ -139,7 +163,6 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
 
         # outside this range the FFT could overflow or lose precision to underflow
         in_range = (_FFT_MIN_NORM <= np.minimum(norm_s, norm_m)) & (np.maximum(norm_s, norm_m) <= _FFT_MAX_NORM)
-        size = _fft_size(n + max_lag_samples)  # no wrap-around into lags 0..max_lag
         # The radius covers both roundings between an FFT estimate and the
         # exact score it stands for. Here u = eps/2, L = log2(size),
         # gamma_k = k*u/(1 - k*u), n <= size, and s_w, m_w are the windows
@@ -165,26 +188,28 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
         # below denom = bound a score's interval is wider than [-1, 1] and
         # dividing by denom can overflow: such lags are always scored exactly
         sharp = (denoms >= bound) & in_range[:, None]
-        nums = np.zeros_like(denoms)
+        nums[~in_range] = 0.0
         if in_range.any():
-            m_spec = np.fft.rfft(m, size)
+            np.fft.rfft(m, size, out=m_spec)
             for row in np.flatnonzero(in_range):
-                nums[row] = np.fft.irfft(m_spec * np.conj(np.fft.rfft(ss[row], size)), size)[:nlags]
+                np.conj(np.fft.rfft(ss[row], size, out=s_spec), out=s_spec)
+                np.multiply(m_spec, s_spec, out=s_spec)
+                nums[row] = np.fft.irfft(s_spec, size, out=line)[:nlags]
         # each row keeps the lags whose upper bound reaches its best lower bound;
-        # at lags that are not sharp the quotients are unused and may be inf or nan
+        # at lags that are not sharp the quotients are unused and may be inf or nan.
+        # scores holds the radii, then the lower bounds, then the radii again.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             nums /= denoms  # the FFT's estimate of each score
-            radius = bound / denoms
-            lower = nums - radius
-            lower[~sharp] = -np.inf
-            nums += radius  # upper bounds
-            exact = np.where(sharp, nums >= lower.max(axis=1, keepdims=True), nonzero)
-        del nums, radius, lower  # (K, nlags) each: free them before scores is made
+            np.subtract(nums, np.divide(bound, denoms, out=scores), out=scores)
+            scores[~sharp] = -np.inf
+            best_lower = scores.max(axis=1, keepdims=True)
+            nums += np.divide(bound, denoms, out=scores)  # upper bounds
+            exact = np.where(sharp, nums >= best_lower, nonzero)
 
-        scores = np.where(nonzero, -np.inf, 0.0)
-        products = np.empty(n)
+        scores.fill(0.0)
+        scores[nonzero] = -np.inf
         for row, lag in zip(*np.nonzero(exact)):
-            window = np.multiply(ss[row][: n - lag], m[lag:], out=products[: n - lag])
+            window = np.multiply(ss[row][: n - lag], m[lag:], out=line[: n - lag])
             scores[row, lag] = np.add.reduce(window) / denoms[row, lag]
         best = np.argmax(scores, axis=1)  # argmax returns the first (smallest) lag on ties
         for row, k in enumerate(rows):

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -102,6 +103,18 @@ class TestVenueType:
     def test_duplicate_seat_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             venue_one_speaker([Seat("A", Position(0, 1)), Seat("A", Position(0, 2))])
+        # each repeated id once, sorted
+        seats = [Seat(i, Position(0, k)) for k, i in enumerate(["C", "A", "B", "C", "A", "C"])]
+        with pytest.raises(ValueError, match=r"^duplicate seat ids: \['A', 'C'\]$"):
+            venue_one_speaker(seats)
+
+    def test_one_duplicate_among_many_seats_rejected_quickly(self):
+        # listing the duplicates used to take one count per seat: 9 s here
+        seats = [Seat(f"S{k}", Position(0, k)) for k in range(20_000)] + [Seat("S0", Position(1, 0))]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"^duplicate seat ids: \['S0'\]$"):
+            venue_one_speaker(seats)
+        assert time.perf_counter() - start < 1.0
 
     def test_nonfinite_position_rejected(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +230,50 @@ def test_silent_mic_scores_zero():
     stream = gen_white_noise(2, 300 * 1000.0 / 8000, 8000)
     assert estimate_alignment_delay(mic, stream, 250 * 1000.0 / 8000) == (0.0, 0.0)
     assert loop_search(mic, stream, 250) == (0, 0.0)
+
+
+def large_allocation_steps(fn, min_bytes=64 * 1024):
+    """Run fn under tracemalloc and count the steps of min_bytes or more.
+
+    A profile hook reads traced memory at every Python and C call and
+    return, then resets its peak. A step is a rise of the peak by
+    min_bytes above the level at the previous event, so each array of
+    min_bytes or more counts once, except that arrays made between the
+    same two events count once together.
+    """
+    steps = level = 0
+
+    def hook(frame, event, arg):
+        nonlocal steps, level
+        current, peak = tracemalloc.get_traced_memory()
+        if peak - level >= min_bytes:
+            steps += 1
+        tracemalloc.reset_peak()
+        level = current
+
+    tracemalloc.start()
+    level = tracemalloc.get_traced_memory()[0]
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+        tracemalloc.stop()
+    return steps
+
+
+@pytest.mark.parametrize(
+    "durations_ms, groups", [((1000, 1000, 1000), 1), ((1000, 900, 1000), 2)], ids=["one-overlap", "two-overlaps"]
+)
+def test_one_large_allocation_per_overlap_length(durations_ms, groups):
+    # the search keeps every float work array in one block per overlap
+    # length; arrays of this size made one by one are mapped afresh, and
+    # page-faulted, on every search
+    streams = [gen_white_noise(seed, ms, 16000) for seed, ms in enumerate(durations_ms)]
+    mic = add_noise_snr(delay_signal(streams[0], 120.0), 0.0, seed=9)
+    candidates = [CandidateStream(f"S{j}", s) for j, s in enumerate(streams)]
+    select_stream(mic, candidates, 400.0)  # loads numpy.fft and its plans
+    assert large_allocation_steps(lambda: select_stream(mic, candidates, 400.0)) <= groups
 
 
 def loop_select(mic, candidates, max_lag, threshold):

@@ -553,13 +553,26 @@ NUMBERS = st.one_of(
 # durations stay at 200 ms or below unless they are meant to trip a check
 DURATIONS = st.one_of(st.floats(0.0, 200.0), st.sampled_from([math.inf, -math.inf, math.nan, -1.0, 1e308, 1e-300]))
 RATES = st.one_of(st.sampled_from([8000, 16000]), st.integers(-10, 48000), st.just(10**12))
-POSITIONS = st.fixed_dictionaries({"x_m": NUMBERS, "y_m": NUMBERS})
-VENUES = st.fixed_dictionaries(
-    {
-        "loudspeakers": st.lists(POSITIONS, min_size=1, max_size=2),
-        "seats": st.lists(POSITIONS, max_size=3).map(lambda ps: [{"id": f"S{i}", **p} for i, p in enumerate(ps)]),
-    },
-    optional={"speed_of_sound_m_per_s": st.one_of(st.just(343.0), NUMBERS)},
+
+
+def venues(coordinates, speeds, min_seats=0):
+    positions = st.fixed_dictionaries({"x_m": coordinates, "y_m": coordinates})
+    return st.fixed_dictionaries(
+        {
+            "loudspeakers": st.lists(positions, min_size=1, max_size=2),
+            "seats": st.lists(positions, min_size=min_seats, max_size=3).map(
+                lambda ps: [{"id": f"S{i}", **p} for i, p in enumerate(ps)]
+            ),
+        },
+        optional={"speed_of_sound_m_per_s": speeds},
+    )
+
+
+# the first branch gives a valid venue with a seat S0, as the first branch of
+# PLANS gives a valid plan, so that plan and simulate also run to the end
+VENUES = st.one_of(
+    venues(st.floats(-100.0, 100.0), st.just(343.0), min_seats=1),
+    venues(NUMBERS, st.one_of(st.just(343.0), NUMBERS)),
 )
 PLANS = st.one_of(
     st.builds(lambda d, t: plan_to_dict(plan_zones(d, t)), st.floats(0.0, 100.0), st.floats(1.0, 100.0)),
@@ -613,7 +626,8 @@ class TestFuzz:
             plan.write_text(json.dumps(data.draw(PLANS)))
             config.write_text(json.dumps(data.draw(BROADCASTS)))
             if command == "plan":
-                argv = ["plan", "--venue", str(venue), f"--tolerance-ms={data.draw(NUMBERS)}", "--out", out]
+                tolerance = data.draw(st.one_of(st.floats(1.0, 100.0), NUMBERS))
+                argv = ["plan", "--venue", str(venue), f"--tolerance-ms={tolerance}", "--out", out]
             elif command == "map":
                 argv = ["map", "--venue", str(venue), "--plan", str(plan), "--out", out]
             elif command == "simulate":
