@@ -124,7 +124,14 @@ def _require_keys(entry, allowed: set[str], required: set[str], what: str) -> No
             raise ValueError(f"missing key {key!r} in {what}")
 
 
-_CONVERTERS = {"str": str, "int": int, "float": float}
+def _to_int(value, key: str, what: str) -> int:
+    """int() of a config value, refusing to cut off a fractional part."""
+    if isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+        raise ValueError(f"key {key!r} in {what} must be an integer, got {value!r}")
+    return int(value)
+
+
+_CONVERTERS = {"str": lambda value, *_: str(value), "int": _to_int, "float": lambda value, *_: float(value)}
 
 
 def _from_entries(cls, entries, what: str) -> list:
@@ -140,8 +147,9 @@ def _from_entries(cls, entries, what: str) -> list:
     converters = [(f.name, _CONVERTERS[f.type]) for f in schema]
     built = []
     for i, entry in enumerate(entries):
-        _require_keys(entry, allowed, required, f"{what}[{i}]")
-        built.append(cls(**{name: convert(entry[name]) for name, convert in converters if name in entry}))
+        where = f"{what}[{i}]"
+        _require_keys(entry, allowed, required, where)
+        built.append(cls(**{name: convert(entry[name], name, where) for name, convert in converters if name in entry}))
     return built
 
 

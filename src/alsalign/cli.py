@@ -50,8 +50,6 @@ def _ceil6(x: float) -> float:
 
 def _json_ready(value):
     """Round all floats to the 6-significant-digit grid before dumping."""
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, float):
         return _round6(value)
     if isinstance(value, dict):
@@ -111,19 +109,14 @@ def parse_signal_source(spec: str) -> signals.Signal:
 
 def run_plan(args: argparse.Namespace) -> int:
     venue = _load(acoustics.load_venue, args.venue, "venue file")
-    if not venue.seats:
-        max_distance = 0.0
-    else:
-        max_distance = max(
-            venue.nearest_loudspeaker_distance_m(s.position) for s in venue.seats
-        )
+    max_distance = max((venue.nearest_loudspeaker_distance_m(s.position) for s in venue.seats), default=0.0)
     plan = planner.plan_zones(max_distance, args.tolerance_ms, venue.speed_of_sound_m_per_s)
     payload = _json_ready(planner.plan_to_dict(plan))
     # publish the span rounded up, so rounding never drops the farthest seat
     payload["zones"][-1]["delay_hi_ms"] = _ceil6(plan.span_ms)
     payload["zones"][-1]["distance_hi_m"] = _ceil6(plan.zones[-1].distance_hi_m)
     _write_json(args.out, payload)
-    bound = plan.span_ms / (2 * len(plan.zones)) if plan.span_ms > 0 else 0.0
+    bound = plan.span_ms / (2 * len(plan.zones))
     print(f"zones: {len(plan.zones)}")
     print(f"max residual bound: {fmt(bound)} ms")
     print(f"wrote {args.out}")
@@ -173,23 +166,19 @@ def run_simulate(args: argparse.Namespace) -> int:
     residual = planner.residual_delay_ms(delay, presentation)
     program = signals.gen_white_noise(args.seed, SIMULATE_PROGRAM_MS, args.sample_rate_hz)
     ear = perception.ear_signal(program, program, residual, perception.MixSpec(1.0, 1.0))
-    report = perception.DistortionReport(
-        seat_id=args.seat,
-        residual_ms=residual,
-        notch_frequencies_hz=tuple(perception.notch_frequencies(abs(residual), args.sample_rate_hz / 2.0)),
-    )
+    distortion = perception.classify_residual(residual).value
     _write_json(
         args.out,
         {
-            "seat_id": report.seat_id,
-            "residual_ms": report.residual_ms,
-            "class": report.distortion.value,
-            "notch_frequencies_hz": list(report.notch_frequencies_hz),
+            "seat_id": args.seat,
+            "residual_ms": residual,
+            "class": distortion,
+            "notch_frequencies_hz": perception.notch_frequencies(abs(residual), args.sample_rate_hz / 2.0),
         },
     )
     if uncovered:
         print(f"seat {args.seat} is beyond the plan span; simulating uncompensated playback")
-    print(f"seat {args.seat}: residual {fmt(residual)} ms -> {report.distortion.value}")
+    print(f"seat {args.seat}: residual {fmt(residual)} ms -> {distortion}")
     print(f"ear signal rms: {fmt(ear.rms())}")
     print(f"wrote {args.out}")
     return EXIT_OK

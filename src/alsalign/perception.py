@@ -17,7 +17,6 @@ from .signals import Signal, delay_signal, mix
 __all__ = [
     "DistortionClass",
     "MixSpec",
-    "DistortionReport",
     "classify_residual",
     "comb_filter_magnitude",
     "notch_frequencies",
@@ -49,17 +48,6 @@ class MixSpec:
     def __post_init__(self):
         if not (0 <= self.broadcast_gain < math.inf and 0 <= self.acoustic_gain < math.inf):
             raise ValueError("gains must be >= 0")
-
-
-@dataclass(frozen=True)
-class DistortionReport:
-    seat_id: str
-    residual_ms: float
-    notch_frequencies_hz: tuple[float, ...]
-
-    @property
-    def distortion(self) -> DistortionClass:
-        return classify_residual(self.residual_ms)
 
 
 def classify_residual(residual_ms: float) -> DistortionClass:

@@ -1,4 +1,3 @@
-import ast
 import contextlib
 import csv
 import importlib
@@ -472,6 +471,27 @@ class TestInputErrorMessages:
         assert main(argv_for(str(path), tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    @pytest.mark.parametrize("key, value", [("index", 1.9), ("sample_rate_hz", 16000.9), ("channels", 2.7)])
+    def test_fractional_int_value(self, tmp_path, capsys, key, value):
+        # an int field rejects a number with a fractional part rather than cut it off
+        if key == "index":
+            what, entry, config = "plan file", "zones[1]", plan_to_dict(plan_zones(100.0, 30.0))
+            config["zones"][1]["index"] = value
+        else:
+            what, entry, config = "broadcast config", "streams[0]", {"streams": [{"id": "S", "sample_rate_hz": 16000}]}
+            config["streams"][0][key] = value
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(config))
+        assert main(INPUT_FILES[what][0](str(path), tmp_path)) == 2
+        expected = f"bad {what} {path}: key {key!r} in {entry} must be an integer, got {value}"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_integral_float_int_value(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps({"streams": [{"id": "S", "sample_rate_hz": 16000.0, "channels": 2.0}]}))
+        assert main(["validate", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\nairtime occupancy: 0.3\n"
+
     def test_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "nodir" / "plan.json"
         assert main(["plan", "--venue", str(DEMO_VENUE), "--out", str(out)]) == 2
@@ -719,17 +739,18 @@ def _fresh_numpy_loaded(fresh_python, code: str, *args: str, cwd=None) -> tuple[
 
 
 def test_exports_name_existing_public_names():
-    # every name in a module's __all__ exists, and the package imports only
-    # such names, so removing a public name cannot leave a stale export
+    # every name in a module's __all__ exists, and the package's public names,
+    # apart from its submodules, are exactly the names of those lists
     public = set()
+    submodules = set()
     for info in pkgutil.iter_modules(alsalign.__path__):
+        submodules.add(info.name)
         module = importlib.import_module(f"alsalign.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"alsalign.{info.name}.__all__ lists missing {name}"
             public.add(name)
-    tree = ast.parse(Path(alsalign.__file__).read_text(encoding="utf-8"))
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert imported and imported <= public, sorted(imported - public)
+    exported = {name for name in vars(alsalign) if not name.startswith("_")} - submodules
+    assert exported == public, (sorted(exported - public), sorted(public - exported))
 
 
 def test_import_leaves_numpy_unloaded(fresh_python):

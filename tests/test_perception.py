@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from alsalign.perception import (
     DistortionClass,
-    DistortionReport,
     MixSpec,
     classify_residual,
     comb_filter_magnitude,
@@ -43,12 +42,6 @@ class TestClassifyResidual:
             classify_residual(float("nan"))
         with pytest.raises(ValueError):
             classify_residual(float("inf"))
-
-
-class TestDistortionReport:
-    def test_consistent_report(self):
-        report = DistortionReport("A1", 20.0, (25.0, 75.0))
-        assert report.distortion is DistortionClass.REVERBERATION
 
 
 class TestCombFilterMagnitude:
