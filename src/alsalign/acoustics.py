@@ -124,50 +124,75 @@ def _require_keys(entry, allowed: set[str], required: set[str], what: str) -> No
             raise ValueError(f"missing key {key!r} in {what}")
 
 
-def _to_int(value, key: str, what: str) -> int:
-    """int() of a config value, refusing to cut off a fractional part."""
-    if isinstance(value, float) and math.isfinite(value) and not value.is_integer():
-        raise ValueError(f"key {key!r} in {what} must be an integer, got {value!r}")
-    return int(value)
+def _convert(kind: str, value, key: str, where: str):
+    """A config value as a str, int or float field: each JSON type rule of the config files.
 
-
-_CONVERTERS = {"str": lambda value, *_: str(value), "int": _to_int, "float": lambda value, *_: float(value)}
-
-
-def _from_entries(cls, entries, what: str) -> list:
-    """Build one cls per config entry, with the dataclass fields as the schema.
-
-    The field names are the allowed keys, fields without a default are the
-    required ones, and each value goes through its field type's converter.
-    Absent optional keys take the field default.
+    A number field refuses a bool but reads a numeric string, and an int
+    field refuses a fractional part rather than cut it off.
     """
-    schema = fields(cls)
-    allowed = {f.name for f in schema}
-    required = {f.name for f in schema if f.default is MISSING}
-    converters = [(f.name, _CONVERTERS[f.type]) for f in schema]
+    if kind == "str":
+        if isinstance(value, str):
+            return value
+        raise ValueError(f"key {key!r} in {where} must be a JSON string, got {json.dumps(value)}")
+    if isinstance(value, bool):
+        raise ValueError(f"key {key!r} in {where} must be a number, got {json.dumps(value)}")
+    if kind == "int" and isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+        raise ValueError(f"key {key!r} in {where} must be an integer, got {json.dumps(value)}")
+    return float(value) if kind == "float" else int(value)
+
+
+def _schema(cls, nested: dict):
+    """A cls entry's config keys, each mapped to whether it is required, and build(entry, where).
+
+    Field names are the keys and fields without a default are required. A
+    field named in nested is read as that class: a tuple field from a JSON
+    array of entries, any other (a seat's position) from the entry's own keys.
+    """
+    keys, parts = {}, []
+    for f in fields(cls):
+        kind, inner = f.type, nested.get(f.name)
+        if inner and not kind.startswith("tuple["):
+            inner_keys, inner = _schema(inner, nested)
+            keys.update(inner_keys)
+            kind = None
+        else:
+            keys[f.name] = f.default is MISSING
+        parts.append((f.name, kind, inner))
+
+    def build(entry, where):
+        values = {}
+        for name, kind, inner in parts:
+            if kind is None:
+                values[name] = inner(entry, where)
+            elif name in entry:
+                value = entry[name]
+                values[name] = _from_entries(inner, value, name, **nested) if inner else _convert(kind, value, name, where)
+        return cls(**values)
+
+    return keys, build
+
+
+def _from_entries(cls, entries, what: str, **nested) -> list:
+    """Build one cls per entry of the JSON array under the key what, named what[i].
+
+    A tuple holds one top-level object instead, named what. nested names the
+    class of each field, at any depth, that is not a str, int or float.
+    """
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{what} must be a JSON array")
+    keys, build = _schema(cls, nested)
+    allowed, required = set(keys), {key for key, needed in keys.items() if needed}
     built = []
     for i, entry in enumerate(entries):
-        where = f"{what}[{i}]"
+        where = what if isinstance(entries, tuple) else f"{what}[{i}]"
         _require_keys(entry, allowed, required, where)
-        built.append(cls(**{name: convert(entry[name], name, where) for name, convert in converters if name in entry}))
+        built.append(build(entry, where))
     return built
 
 
 def venue_from_dict(data: dict) -> Venue:
     """Build a Venue from the JSON config schema; unknown keys are rejected."""
-    _require_keys(
-        data,
-        {"speed_of_sound_m_per_s", "loudspeakers", "seats"},
-        {"loudspeakers"},
-        "venue config",
-    )
-    loudspeakers = _from_entries(Position, data["loudspeakers"], "loudspeakers")
-    seats = []
-    for i, entry in enumerate(data.get("seats", [])):
-        _require_keys(entry, {"id", "x_m", "y_m"}, {"id", "x_m", "y_m"}, f"seats[{i}]")
-        seats.append(Seat(str(entry["id"]), Position(float(entry["x_m"]), float(entry["y_m"]))))
-    speed = float(data.get("speed_of_sound_m_per_s", SPEED_OF_SOUND_M_PER_S))
-    return Venue(loudspeakers, seats, speed)
+    return _from_entries(Venue, (data,), "venue config", loudspeakers=Position, seats=Seat, position=Position)[0]
 
 
 def load_venue(path) -> Venue:

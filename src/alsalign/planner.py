@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .acoustics import Venue, _from_entries, _require_keys, delay_map, propagation_delay_ms
+from .acoustics import Venue, _from_entries, delay_map, propagation_delay_ms
 from .perception import DistortionClass, classify_residual
 
 __all__ = [
@@ -211,28 +211,12 @@ def verify_plan(venue: Venue, plan: DelayPlan) -> PlanVerification:
 
 
 def plan_to_dict(plan: DelayPlan) -> dict:
-    return {
-        "tolerance_ms": plan.tolerance_ms,
-        "speed_of_sound_m_per_s": plan.speed_of_sound_m_per_s,
-        "zones": [
-            {
-                "index": z.index,
-                "delay_lo_ms": z.delay_lo_ms,
-                "delay_hi_ms": z.delay_hi_ms,
-                "presentation_delay_ms": z.presentation_delay_ms,
-                "distance_lo_m": z.distance_lo_m,
-                "distance_hi_m": z.distance_hi_m,
-            }
-            for z in plan.zones
-        ],
-    }
+    """The plan file's object: the plan's fields, with each zone's fields, by name."""
+    return {**vars(plan), "zones": [dict(vars(zone)) for zone in plan.zones]}
 
 
 def plan_from_dict(data: dict) -> DelayPlan:
-    plan_keys = {"tolerance_ms", "speed_of_sound_m_per_s", "zones"}
-    _require_keys(data, plan_keys, plan_keys, "plan")
-    zones = _from_entries(Zone, data["zones"], "zones")
-    return DelayPlan(float(data["tolerance_ms"]), float(data["speed_of_sound_m_per_s"]), zones)
+    return _from_entries(DelayPlan, (data,), "plan", zones=Zone)[0]
 
 
 def load_plan(path) -> DelayPlan:

@@ -39,12 +39,15 @@ class SplitMix64:
         """Uniform float in [0, 1) from the top 53 bits."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def _top53_block(self, n: int) -> np.ndarray:
-        """The top 53 bits of the next n outputs, as exact floats; advances past them.
+    def symmetric_block(self, n: int) -> np.ndarray:
+        """n uniform floats in [-1, 1), identical to n calls of 2 * next_float() - 1.
 
         The k-th output only depends on state + k*gamma, so the block is
         computed with vectorized uint64 arithmetic (in place, wrapping mod
-        2**64) and the state is then advanced past it.
+        2**64) and the state is then advanced past it. The top 53 bits
+        convert to floats exactly; scaling them by 2**-52 instead of 2**-53
+        and then by 2 is exact, and so is subtracting 1 from a multiple of
+        2**-52 in [0, 2).
         """
         if n < 0:
             raise ValueError(f"block length must be >= 0, got {n}")
@@ -60,21 +63,7 @@ class SplitMix64:
         z ^= np.right_shift(z, 31, out=shifted)
         z >>= 11
         self._state = (self._state + n * _GAMMA) & _MASK64
-        return z.astype(np.float64)
-
-    def uniform_block(self, n: int) -> np.ndarray:
-        """n uniform floats in [0, 1), identical to n next_float() calls."""
-        u = self._top53_block(n)
-        u *= 2.0**-53
-        return u
-
-    def symmetric_block(self, n: int) -> np.ndarray:
-        """n uniform floats in [-1, 1), identical to 2 * next_float() - 1.
-
-        Scaling by 2**-52 instead of 2**-53 and then by 2 is exact, and so is
-        subtracting 1 from a multiple of 2**-52 in [0, 2).
-        """
-        u = self._top53_block(n)
+        u = z.astype(np.float64)
         u *= 2.0**-52
         u -= 1.0
         return u

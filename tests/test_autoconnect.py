@@ -347,6 +347,33 @@ def test_select_stream_equals_loop_oracle(case):
         assert 0.0 < result.peak_ncc < 0.3
 
 
+def test_power_of_two_scaling_keeps_every_bit():
+    # Scaling the mic by 2**k and every stream by 2**-k scales each sum,
+    # product, FFT bin and norm of the search exactly, away from underflow
+    # and overflow, so the lag and peak must not change in a single bit;
+    # the check needs no oracle and covers the FFT path
+    rng = np.random.default_rng(47)
+    for seed in range(20):
+        streams = [
+            gen_white_noise(seed, 250, 8000),
+            gen_sine(100.0 + 150.0 * seed, 250, 8000),
+            gen_white_noise(100 + seed, 250, 8000),
+        ]
+        planted = streams[seed % 3]
+        mic = add_noise_snr(delay_signal(planted, 2.5 * seed), 6.0 - 0.5 * seed, seed=200 + seed)
+        k = int(rng.integers(-40, 40))
+
+        def search(mic_scale, stream_scale):
+            candidates = [
+                CandidateStream(f"S{j}", Signal(s.samples * stream_scale, 8000)) for j, s in enumerate(streams)
+            ]
+            return select_stream(Signal(mic.samples * mic_scale, 8000), candidates, 75.0)
+
+        plain = search(1.0, 1.0)
+        assert search(2.0**k, 2.0**-k) == plain, (seed, k)
+        assert plain.stream_id == f"S{seed % 3}", seed
+
+
 def score_at_lag(mic, stream, lag):
     """NCC of the pair at one lag: the search's peak over the lag-0 window."""
     n = min(len(mic), len(stream))

@@ -408,13 +408,15 @@ ZONE_KEYS = ("delay_lo_ms", "delay_hi_ms", "presentation_delay_ms", "distance_lo
 
 # input file kind -> (argv that reads the file, config with an unknown key and the section
 # named in the error, config whose first entry is not an object and that entry's name,
-# config with an entry value that its field's type cannot convert and the conversion error)
+# config with an entry value that its field's type cannot convert and the conversion error,
+# config whose list key holds no JSON array and that key)
 INPUT_FILES = {
     "venue file": (
         lambda path, tmp: ["plan", "--venue", path, "--out", str(tmp / "p.json")],
         ({"loudspeakers": [{"x_m": 0, "y_m": 0}], "zzz": 1}, "venue config"),
         ({"loudspeakers": [[0, 0]]}, "loudspeakers[0]"),
         ({"loudspeakers": [{"x_m": 0, "y_m": [1]}]}, "float() argument must be a string or a real number, not 'list'"),
+        ({"loudspeakers": "ab"}, "loudspeakers"),
     ),
     "plan file": (
         lambda path, tmp: ["map", "--venue", str(DEMO_VENUE), "--plan", path, "--out", str(tmp / "m.csv")],
@@ -428,12 +430,14 @@ INPUT_FILES = {
             },
             "could not convert string to float: 'x'",
         ),
+        ({"tolerance_ms": 30, "speed_of_sound_m_per_s": 343, "zones": {}}, "zones"),
     ),
     "broadcast config": (
         lambda path, tmp: ["validate", "--config", path],
         ({"zzz": 1}, "broadcast config"),
         ({"streams": [1]}, "streams[0]"),
         ({"streams": [{"id": "S", "sample_rate_hz": "x"}]}, "invalid literal for int() with base 10: 'x'"),
+        ({"streams": [], "trains": ""}, "trains"),
     ),
 }
 
@@ -442,11 +446,14 @@ class TestInputErrorMessages:
     """Every input fault is exit 2 with exactly one pinned error line."""
 
     @pytest.mark.parametrize(
-        "fault", ["missing", "directory", "invalid-json", "unknown-key", "non-object-entry", "bad-value"]
+        "fault",
+        ["missing", "directory", "invalid-json", "unknown-key", "non-object-entry", "bad-value", "non-array-list"],
     )
     @pytest.mark.parametrize("what", list(INPUT_FILES))
     def test_input_file_fault(self, tmp_path, capsys, what, fault):
-        argv_for, (unknown_cfg, section), (entry_cfg, entry), (value_cfg, conversion_error) = INPUT_FILES[what]
+        argv_for, (unknown_cfg, section), (entry_cfg, entry), (value_cfg, conversion_error), (list_cfg, list_key) = (
+            INPUT_FILES[what]
+        )
         path = tmp_path / "input.json"
         if fault == "missing":
             expected = f"{what} not found: {path}"
@@ -465,9 +472,12 @@ class TestInputErrorMessages:
         elif fault == "non-object-entry":
             path.write_text(json.dumps(entry_cfg))
             expected = f"bad {what} {path}: {entry} must be a JSON object"
-        else:
+        elif fault == "bad-value":
             path.write_text(json.dumps(value_cfg))
             expected = f"bad {what} {path}: {conversion_error}"
+        else:
+            path.write_text(json.dumps(list_cfg))
+            expected = f"bad {what} {path}: {list_key} must be a JSON array"
         assert main(argv_for(str(path), tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
 
@@ -485,6 +495,46 @@ class TestInputErrorMessages:
         assert main(INPUT_FILES[what][0](str(path), tmp_path)) == 2
         expected = f"bad {what} {path}: key {key!r} in {entry} must be an integer, got {value}"
         assert capsys.readouterr().err == f"error: {expected}\n"
+
+    @pytest.mark.parametrize(
+        "what, spoil, expected",
+        [
+            (
+                "broadcast config",
+                lambda cfg: cfg["streams"][0].update(airtime_fraction=True),
+                "key 'airtime_fraction' in streams[0] must be a number, got true",
+            ),
+            (
+                "venue file",
+                lambda cfg: cfg["loudspeakers"][0].update(x_m=True),
+                "key 'x_m' in loudspeakers[0] must be a number, got true",
+            ),
+            (
+                "venue file",
+                lambda cfg: cfg["seats"].__setitem__(0, {"id": None, "x_m": "3", "y_m": False}),
+                "key 'id' in seats[0] must be a JSON string, got null",
+            ),
+            (
+                "broadcast config",
+                lambda cfg: cfg["streams"][0].update(id={"a": [1]}),
+                "key 'id' in streams[0] must be a JSON string, got {\"a\": [1]}",
+            ),
+            (
+                "venue file",
+                lambda cfg: cfg.update(speed_of_sound_m_per_s=True),
+                "key 'speed_of_sound_m_per_s' in venue config must be a number, got true",
+            ),
+        ],
+        ids=["stream-airtime-bool", "loudspeaker-x-bool", "seat-null-id", "stream-object-id", "venue-speed-bool"],
+    )
+    def test_value_of_wrong_json_type(self, tmp_path, capsys, what, spoil, expected):
+        # a bool is no number and only a JSON string is a str; neither is coerced
+        config = json.loads((DEMO_BROADCAST if what == "broadcast config" else DEMO_VENUE).read_text())
+        spoil(config)
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(config))
+        assert main(INPUT_FILES[what][0](str(path), tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: bad {what} {path}: {expected}\n"
 
     def test_integral_float_int_value(self, tmp_path, capsys):
         path = tmp_path / "input.json"
@@ -687,8 +737,9 @@ class TestFuzz:
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
     def test_non_number_entry_value(self, data):
-        # valid configs with one value of one entry drawn from NON_NUMBERS: the
-        # command that reads it either accepts the value or exits 2 with one error line
+        # valid configs with one scalar value, top-level or in an entry, drawn from
+        # NON_NUMBERS: the command that reads it either accepts the value or exits 2
+        # with one error line
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             venue, plan, config, out = tmp / "venue.json", tmp / "plan.json", tmp / "bc.json", str(tmp / "out")
@@ -698,9 +749,10 @@ class TestFuzz:
                 config: json.loads(DEMO_BROADCAST.read_text()),
             }
             spoiled = data.draw(st.sampled_from(list(configs)))
-            slots = [(entry, key) for v in configs[spoiled].values() if isinstance(v, list) for entry in v for key in entry]
+            top = configs[spoiled]
+            entries = [top, *(entry for v in top.values() if isinstance(v, list) for entry in v)]
+            slots = [(entry, key) for entry in entries for key in entry if not isinstance(entry[key], list)]
             entry, key = data.draw(st.sampled_from(slots))
-            was_number = not isinstance(entry[key], str)
             entry[key] = value = data.draw(NON_NUMBERS)
             for path, content in configs.items():
                 path.write_text(json.dumps(content))
@@ -716,8 +768,8 @@ class TestFuzz:
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main(argv)
         assert rc in (0, 1, 2)
-        if was_number and (value is None or isinstance(value, (list, dict))):
-            assert rc == 2  # no numeric field converts null, a list or an object
+        if not isinstance(value, str):
+            assert rc == 2  # no field takes null, a list, an object or a bool, and a str field only a string
         if rc == 2:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
