@@ -9,7 +9,9 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
+from typing import get_args, get_origin, get_type_hints
 
 __all__ = [
     "SPEED_OF_SOUND_M_PER_S",
@@ -112,87 +114,87 @@ def delay_map(venue: Venue) -> list[SeatDelay]:
     return rows
 
 
-def _require_keys(entry, allowed: set[str], required: set[str], what: str) -> None:
-    """Reject a config entry that is not a JSON object or has unknown or missing keys."""
-    if not isinstance(entry, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    for key in entry:
-        if key not in allowed:
-            raise ValueError(f"unknown key {key!r} in {what}")
-    for key in sorted(required):
-        if key not in entry:
-            raise ValueError(f"missing key {key!r} in {what}")
-
-
-def _convert(kind: str, value, key: str, where: str):
-    """A config value as a str, int or float field: each JSON type rule of the config files.
+def _convert(kind, value, key: str, where: str):
+    """A config value as a field of class kind: each JSON type rule of the config files.
 
     A number field refuses a bool but reads a numeric string, and an int
-    field refuses a fractional part rather than cut it off.
+    field refuses a fractional part rather than cut it off. A str or Enum
+    field takes only a JSON string, and an Enum reads it in any case.
     """
-    if kind == "str":
-        if isinstance(value, str):
-            return value
+    if kind is float or kind is int:
+        if isinstance(value, bool):
+            raise ValueError(f"key {key!r} in {where} must be a number, got {json.dumps(value)}")
+        if kind is int and isinstance(value, float) and math.isfinite(value) and not value.is_integer():
+            raise ValueError(f"key {key!r} in {where} must be an integer, got {json.dumps(value)}")
+        return kind(value)
+    if not isinstance(value, str):
         raise ValueError(f"key {key!r} in {where} must be a JSON string, got {json.dumps(value)}")
-    if isinstance(value, bool):
-        raise ValueError(f"key {key!r} in {where} must be a number, got {json.dumps(value)}")
-    if kind == "int" and isinstance(value, float) and math.isfinite(value) and not value.is_integer():
-        raise ValueError(f"key {key!r} in {where} must be an integer, got {json.dumps(value)}")
-    return float(value) if kind == "float" else int(value)
+    if kind is str:
+        return value
+    try:
+        return kind(value.lower())
+    except ValueError:
+        raise ValueError(f"unknown {key} {value!r} in {where}") from None
 
 
-def _schema(cls, nested: dict):
-    """A cls entry's config keys, each mapped to whether it is required, and build(entry, where).
+def _read_array(kind, value, key: str, where: str) -> list:
+    """The JSON array under key, each entry read as a kind named key[i]."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a JSON array")
+    return [_read(kind, entry, f"{key}[{i}]") for i, entry in enumerate(value)]
 
-    Field names are the keys and fields without a default are required. A
-    field named in nested is read as that class: a tuple field from a JSON
-    array of entries, any other (a seat's position) from the entry's own keys.
+
+@cache
+def _schema(cls):
+    """cls's config keys, sorted and each mapped to whether it is required, and build(entry, where).
+
+    A field without a default is a required key. Its annotation says how it
+    is read: a tuple[X, ...] from a JSON array of X entries, any other
+    dataclass (a seat's position) from the entry's own keys, the rest by
+    _convert.
     """
-    keys, parts = {}, []
+    keys, parts, hints = {}, [], get_type_hints(cls)
     for f in fields(cls):
-        kind, inner = f.type, nested.get(f.name)
-        if inner and not kind.startswith("tuple["):
-            inner_keys, inner = _schema(inner, nested)
+        kind = hints[f.name]
+        flat, read = is_dataclass(kind), _convert
+        if flat:
+            inner_keys, read = _schema(kind)
             keys.update(inner_keys)
-            kind = None
         else:
             keys[f.name] = f.default is MISSING
-        parts.append((f.name, kind, inner))
+        if get_origin(kind) is tuple:
+            kind, read = get_args(kind)[0], _read_array
+        parts.append((f.name, flat, kind, read))
 
     def build(entry, where):
         values = {}
-        for name, kind, inner in parts:
-            if kind is None:
-                values[name] = inner(entry, where)
+        for name, flat, kind, read in parts:
+            if flat:
+                values[name] = read(entry, where)
             elif name in entry:
-                value = entry[name]
-                values[name] = _from_entries(inner, value, name, **nested) if inner else _convert(kind, value, name, where)
+                values[name] = read(kind, entry[name], name, where)
         return cls(**values)
 
-    return keys, build
+    return dict(sorted(keys.items())), build
 
 
-def _from_entries(cls, entries, what: str, **nested) -> list:
-    """Build one cls per entry of the JSON array under the key what, named what[i].
-
-    A tuple holds one top-level object instead, named what. nested names the
-    class of each field, at any depth, that is not a str, int or float.
-    """
-    if not isinstance(entries, (list, tuple)):
-        raise ValueError(f"{what} must be a JSON array")
-    keys, build = _schema(cls, nested)
-    allowed, required = set(keys), {key for key, needed in keys.items() if needed}
-    built = []
-    for i, entry in enumerate(entries):
-        where = what if isinstance(entries, tuple) else f"{what}[{i}]"
-        _require_keys(entry, allowed, required, where)
-        built.append(build(entry, where))
-    return built
+def _read(cls, entry, where: str):
+    """A cls read from the config object entry, named where in messages."""
+    keys, build = _schema(cls)
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    for key in entry:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    for key, required in keys.items():
+        if required and key not in entry:
+            raise ValueError(f"missing key {key!r} in {where}")
+    return build(entry, where)
 
 
 def venue_from_dict(data: dict) -> Venue:
     """Build a Venue from the JSON config schema; unknown keys are rejected."""
-    return _from_entries(Venue, (data,), "venue config", loudspeakers=Position, seats=Seat, position=Position)[0]
+    return _read(Venue, data, "venue config")
 
 
 def load_venue(path) -> Venue:

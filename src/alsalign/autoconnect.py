@@ -161,8 +161,10 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
                 raise ValueError("signals too loud: mic norm times stream norm overflows float64")
         nonzero = denoms > 0.0
 
-        # outside this range the FFT could overflow or lose precision to underflow
-        in_range = (_FFT_MIN_NORM <= np.minimum(norm_s, norm_m)) & (np.maximum(norm_s, norm_m) <= _FFT_MAX_NORM)
+        # outside this range the FFT could overflow or lose precision to underflow,
+        # and below size 576 its rounding is not covered by the radius (see below)
+        in_range = (size >= 576) & (_FFT_MIN_NORM <= np.minimum(norm_s, norm_m))
+        in_range &= np.maximum(norm_s, norm_m) <= _FFT_MAX_NORM
         # The radius covers both roundings between an FFT estimate and the
         # exact score it stands for. Here u = eps/2, L = log2(size),
         # gamma_k = k*u/(1 - k*u), n <= size, and s_w, m_w are the windows
@@ -183,7 +185,8 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
         #   |m_w| by Cauchy-Schwarz.
         # The two add up to less than 4 * size * eps * |s| * |m| for
         # size >= 576; below that the worst case of this chain exceeds the
-        # radius by up to 3x, and the oracle tests cover those sizes.
+        # radius by up to 3x, so those rows skip the FFT and every lag is
+        # scored exactly.
         bound = (4 * size * _EPS * norm_s * norm_m)[:, None]
         # below denom = bound a score's interval is wider than [-1, 1] and
         # dividing by denom can overflow: such lags are always scored exactly

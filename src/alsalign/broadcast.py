@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .acoustics import SPEED_OF_SOUND_M_PER_S, _from_entries, _require_keys, propagation_delay_ms
+from .acoustics import SPEED_OF_SOUND_M_PER_S, _convert, _read, propagation_delay_ms
 
 __all__ = [
     "SpecMode",
@@ -241,21 +241,12 @@ def airtime_occupancy(source: BroadcastSource) -> float:
 
 
 def source_from_dict(data: dict) -> tuple[BroadcastSource, SpecMode | None]:
-    """Parse the broadcast config schema; returns the source and the file's mode."""
-    _require_keys(data, {"mode", "transport", "streams", "trains"}, set(), "broadcast config")
+    """Parse the broadcast config schema; returns the source and the file's mode, read beside its fields."""
     mode = None
-    if "mode" in data:
-        try:
-            mode = SpecMode(str(data["mode"]).lower())
-        except ValueError:
-            raise ValueError(f"unknown mode {data['mode']!r} in broadcast config") from None
-    try:
-        transport = TransportKind(str(data.get("transport", "electromagnetic")).lower())
-    except ValueError:
-        raise ValueError(f"unknown transport {data['transport']!r} in broadcast config") from None
-    streams = _from_entries(AudioStreamDescriptor, data.get("streams", []), "streams")
-    trains = _from_entries(AdvertisingTrain, data.get("trains", []), "trains")
-    return BroadcastSource(transport, streams, trains), mode
+    if isinstance(data, dict) and "mode" in data:
+        data = dict(data)
+        mode = _convert(SpecMode, data.pop("mode"), "mode", "broadcast config")
+    return _read(BroadcastSource, data, "broadcast config"), mode
 
 
 def load_broadcast_config(path) -> tuple[BroadcastSource, SpecMode | None]:

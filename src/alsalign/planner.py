@@ -12,7 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .acoustics import Venue, _from_entries, delay_map, propagation_delay_ms
+from .acoustics import Venue, _read, delay_map, propagation_delay_ms
 from .perception import DistortionClass, classify_residual
 
 __all__ = [
@@ -216,7 +216,7 @@ def plan_to_dict(plan: DelayPlan) -> dict:
 
 
 def plan_from_dict(data: dict) -> DelayPlan:
-    return _from_entries(DelayPlan, (data,), "plan", zones=Zone)[0]
+    return _read(DelayPlan, data, "plan")
 
 
 def load_plan(path) -> DelayPlan:

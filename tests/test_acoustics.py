@@ -153,6 +153,13 @@ class TestVenueConfig:
         with pytest.raises(ValueError, match="missing key 'loudspeakers'"):
             venue_from_dict({"seats": []})
 
+    @pytest.mark.parametrize("array", [list, tuple])
+    def test_entry_named_with_its_index(self, array):
+        # a Python tuple holds a list key's entries just as a list does
+        loudspeakers = array(({"x_m": 0, "y_m": 0}, {"x_m": 1}))
+        with pytest.raises(ValueError, match=r"^missing key 'y_m' in loudspeakers\[1\]$"):
+            venue_from_dict({"loudspeakers": loudspeakers})
+
 
 NAN, INF = float("nan"), float("inf")
 

@@ -374,6 +374,66 @@ def test_power_of_two_scaling_keeps_every_bit():
         assert plain.stream_id == f"S{seed % 3}", seed
 
 
+def _near_tie_cases(n, max_lag):
+    """40 seeded pairs of n samples at 8 kHz: delayed tones, constant signals and noisy delayed noise."""
+    rng = np.random.default_rng(53)
+    duration_ms = n * 1000.0 / 8000
+    cases = []
+    for k in range(40):
+        delay_ms = int(rng.integers(0, max_lag)) * 1000.0 / 8000
+        if k % 3 == 0:
+            stream = gen_sine(50.0 + 97.0 * k, duration_ms, 8000)
+            mic = delay_signal(stream, delay_ms)
+        elif k % 3 == 1:
+            stream = Signal(np.full(n, rng.uniform(-1.0, 1.0)), 8000)
+            mic = Signal(np.full(n, rng.uniform(-1.0, 1.0)), 8000)
+        else:
+            stream = gen_white_noise(k, duration_ms, 8000)
+            mic = add_noise_snr(delay_signal(stream, delay_ms), float(rng.uniform(-10.0, 10.0)), seed=300 + k)
+        cases.append((mic, stream))
+    return cases
+
+
+def adversarial_mismatches(monkeypatch, n, max_lag, f):
+    """The near-tie cases whose search differs from loop_search when every FFT estimate errs by f radii.
+
+    The wrapped irfft lowers the exact winner's estimate by f * R and raises
+    every other lag's by f * R, where R = 4 * size * eps * |s| * |m| is the
+    search's radius before division by the window norms.
+    """
+    irfft, case = np.fft.irfft, {}
+
+    def perturbed_irfft(a, size, **kwargs):
+        out = irfft(a, size, **kwargs)
+        shift = f * 4 * size * autoconnect._EPS * case["norms"]
+        winner = out[case["lag"]] - shift
+        out[: max_lag + 1] += shift
+        out[case["lag"]] = winner
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", perturbed_irfft)
+    mismatches = []
+    for i, (mic, stream) in enumerate(_near_tie_cases(n, max_lag)):
+        lag, peak = loop_search(mic, stream, max_lag)
+        case.update(lag=lag, norms=float(np.linalg.norm(mic.samples[:n]) * np.linalg.norm(stream.samples[:n])))
+        if estimate_alignment_delay(mic, stream, max_lag * 1000.0 / 8000) != (lag * 1000.0 / 8000, peak):
+            mismatches.append(i)
+    monkeypatch.undo()
+    return mismatches
+
+
+@pytest.mark.parametrize(("n", "max_lag", "size"), [(100, 50, 162), (200, 100, 324), (300, 200, 512), (2000, 600, 2916)])
+def test_search_exact_when_fft_errs_against_the_winner(monkeypatch, n, max_lag, size):
+    # Within the radius (f < 1) no FFT error may change the result. Below
+    # size 576 the radius does not cover the FFT's rounding, so no lag takes
+    # its score from the FFT there and even 4 radii change nothing; above
+    # it 4 radii do change some results, which shows that the wrapper bites.
+    assert autoconnect._fft_size(n + max_lag) == size
+    for f in (0.5, 0.99):
+        assert adversarial_mismatches(monkeypatch, n, max_lag, f) == [], f
+    assert (adversarial_mismatches(monkeypatch, n, max_lag, 4.0) == []) == (size < 576)
+
+
 def score_at_lag(mic, stream, lag):
     """NCC of the pair at one lag: the search's peak over the lag-0 window."""
     n = min(len(mic), len(stream))

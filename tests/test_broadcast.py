@@ -237,6 +237,27 @@ class TestBroadcastConfigFile:
         with pytest.raises(ValueError, match="unknown transport"):
             source_from_dict({"transport": "carrier-pigeon"})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"transport": "carrier-pigeon"}, "unknown transport 'carrier-pigeon' in broadcast config"),
+            ({"mode": "Lenient"}, "unknown mode 'Lenient' in broadcast config"),
+            ({"mode": True}, "key 'mode' in broadcast config must be a JSON string, got true"),
+            ({"mode": None}, "key 'mode' in broadcast config must be a JSON string, got null"),
+            ({"transport": 5}, "key 'transport' in broadcast config must be a JSON string, got 5"),
+        ],
+        ids=["unknown-transport", "unknown-mode", "bool-mode", "null-mode", "number-transport"],
+    )
+    def test_mode_and_transport_message(self, data, message):
+        # mode and transport are JSON strings; nothing else is coerced to one
+        with pytest.raises(ValueError) as err:
+            source_from_dict(data)
+        assert str(err.value) == message
+
+    def test_mode_and_transport_read_in_any_case(self):
+        source, mode = source_from_dict({"mode": "STRICT", "transport": "Ultrasound"})
+        assert (mode, source.transport) == (SpecMode.STRICT, TransportKind.ULTRASOUND)
+
     def test_defaults_applied(self):
         source, _ = source_from_dict(
             {

@@ -524,8 +524,13 @@ class TestInputErrorMessages:
                 lambda cfg: cfg.update(speed_of_sound_m_per_s=True),
                 "key 'speed_of_sound_m_per_s' in venue config must be a number, got true",
             ),
+            (
+                "broadcast config",
+                lambda cfg: cfg.update(mode=True),
+                "key 'mode' in broadcast config must be a JSON string, got true",
+            ),
         ],
-        ids=["stream-airtime-bool", "loudspeaker-x-bool", "seat-null-id", "stream-object-id", "venue-speed-bool"],
+        ids=["stream-airtime-bool", "loudspeaker-x-bool", "seat-null-id", "stream-object-id", "venue-speed-bool", "mode-bool"],
     )
     def test_value_of_wrong_json_type(self, tmp_path, capsys, what, spoil, expected):
         # a bool is no number and only a JSON string is a str; neither is coerced
