@@ -40,7 +40,25 @@ _EPS = sys.float_info.epsilon
 # signal norms for which the FFT bound holds. Above the range the FFT can
 # overflow. Below it the spectrum product underflows into subnormals, so
 # the relative error bound no longer holds (a 440 Hz tone at 1e-160 then
-# peaks 800 lags off).
+# peaks 800 lags off). Why 2**450 each way:
+# - size: the generators and read_wav cap a signal at 1e7 samples, and a
+#   search needs max_lag < n, so the FFT size stays below 2**26.
+# - overflow: every bin and partial sum of a forward FFT is at most
+#   sum|x| <= sqrt(size) * |x|, so a spectrum product is at most
+#   size * |s| * |m| <= 2**926, and the inverse's sums of at most size
+#   such terms stay below 2**952 < 2**1024.
+# - underflow: at |s| * |m| >= 2**-900 the radius numerator
+#   4 * size * eps * |s| * |m| is at least 2**-941 (size >= 576), a normal
+#   number. A rounding that underflows errs by at most 2**-1075. Even
+#   size**2 of them after the product stay below 2**-80 of the radius, and
+#   so do the n products of an exact score. One in a forward FFT, times
+#   the other spectrum (at most sqrt(size) times a norm, with each norm at
+#   least 2**-450), stays below 2**-500 of it. The radius leaves far more
+#   slack than that (see below).
+# - the 1e-160 tone has |s| * |m| ~ 2**-1053, so its radius, ~2**-1091,
+#   would round to zero.
+# Both margins hold for any size below 2**45. The _one_row_out_of_fft_range
+# oracle case in the tests pins the guard.
 _FFT_MIN_NORM = 2.0**-450
 _FFT_MAX_NORM = 2.0**450
 
@@ -78,18 +96,10 @@ def _fft_size(min_size: int) -> int:
     return best
 
 
-def _max_lag(mic: Signal, max_lag_ms: float) -> int:
-    """max_lag_ms as a whole number of samples at the mic's rate."""
-    if not 0 <= max_lag_ms < math.inf:
-        raise ValueError(f"max_lag_ms must be >= 0, got {max_lag_ms}")
-    max_lag = max_lag_ms * mic.sample_rate_hz / 1000.0
-    if max_lag == math.inf:
-        raise ValueError(f"max_lag_ms {max_lag_ms} overflows at {mic.sample_rate_hz} Hz")
-    return round(max_lag)
+def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tuple[float, float]]:
+    """Per stream, the first lag in 0..max_lag_ms with the highest NCC, in ms, and that NCC.
 
-
-def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list[tuple[int, float]]:
-    """Per stream, the first lag in 0..max_lag_samples with the highest NCC, and that NCC.
+    max_lag_ms is rounded to a whole number of samples at the mic's rate.
 
     Every lag is scored as np.add.reduce(s[:n-lag] * m[lag:]) / denom[lag],
     or 0 where the window norms vanish, and the result is exactly what
@@ -104,8 +114,15 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
     for the squares, a correlation row and the re-score products, and
     three (streams, lags) arrays for the denominators, the estimates and
     upper bounds, and the radii, lower bounds and scores.
-    Raises ValueError when a stream norm times the mic norm overflows.
+    Raises ValueError when max_lag_ms is negative, infinite or overflows
+    at the mic's rate, and when a stream norm times the mic norm overflows.
     """
+    if not 0 <= max_lag_ms < math.inf:
+        raise ValueError(f"max_lag_ms must be >= 0, got {max_lag_ms}")
+    max_lag = max_lag_ms * mic.sample_rate_hz / 1000.0
+    if max_lag == math.inf:
+        raise ValueError(f"max_lag_ms {max_lag_ms} overflows at {mic.sample_rate_hz} Hz")
+    max_lag_samples = round(max_lag)
     lengths = []
     for stream in streams:
         if mic.sample_rate_hz != stream.sample_rate_hz:
@@ -113,7 +130,7 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
                 f"mismatched sample rates: mic {mic.sample_rate_hz} vs stream {stream.sample_rate_hz}"
             )
         n = min(len(mic), len(stream))
-        if max_lag_samples < 0 or n - max_lag_samples < 2:
+        if n - max_lag_samples < 2:
             raise ValueError(
                 f"lag range 0..{max_lag_samples} leaves less than 2 samples of overlap "
                 f"(min signal length {n})"
@@ -122,7 +139,7 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
     import numpy as np
 
     nlags = max_lag_samples + 1
-    results: list[tuple[int, float]] = [(0, 0.0)] * len(streams)
+    results: list[tuple[float, float]] = [(0.0, 0.0)] * len(streams)
     for n in sorted(set(lengths)):
         rows = [k for k, length in enumerate(lengths) if length == n]
         m = mic.samples[:n]
@@ -216,7 +233,7 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_samples: int) -> list
             scores[row, lag] = np.add.reduce(window) / denoms[row, lag]
         best = np.argmax(scores, axis=1)  # argmax returns the first (smallest) lag on ties
         for row, k in enumerate(rows):
-            results[k] = int(best[row]), float(scores[row, best[row]])
+            results[k] = int(best[row]) * 1000.0 / mic.sample_rate_hz, float(scores[row, best[row]])
     return results
 
 
@@ -231,19 +248,27 @@ def estimate_alignment_delay(mic: Signal, stream: Signal, max_lag_ms: float) -> 
     search select_stream runs for all its candidates at once, with the
     mic transformed once per selection.
     """
-    ((best, peak),) = _best_lags(mic, [stream], _max_lag(mic, max_lag_ms))
-    return best * 1000.0 / mic.sample_rate_hz, peak
+    return _best_lags(mic, [stream], max_lag_ms)[0]
 
 
-def _check_candidates(candidates: list[CandidateStream], threshold: float) -> None:
-    """The checks select_stream and a forced connection both run first."""
+def _scores(
+    mic: Signal, candidates: list[CandidateStream], max_lag_ms: float, threshold: float
+) -> list[tuple[str, float, float]]:
+    """Each candidate's (id, lag_ms, peak_ncc) in id order, from one batched search.
+
+    Selection and a forced connection both start here. Every candidate
+    is checked before any is searched, and the first failing one in id
+    order raises.
+    """
     if not candidates:
         raise ValueError("select_stream requires at least one candidate")
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-    ids = [c.id for c in candidates]
-    if len(ids) != len(set(ids)):
+    ordered = sorted(candidates, key=lambda c: c.id)
+    if len({c.id for c in ordered}) != len(ordered):
         raise ValueError("duplicate candidate stream ids")
+    searched = _best_lags(mic, [c.signal for c in ordered], max_lag_ms)
+    return [(c.id, lag_ms, peak) for c, (lag_ms, peak) in zip(ordered, searched)]
 
 
 def select_stream(
@@ -254,23 +279,14 @@ def select_stream(
 ) -> SelectionResult:
     """Pick the candidate with the highest correlation peak.
 
-    Every candidate is checked before any is searched, and the first
-    failing one in id order raises. Candidates are scored in id order so
-    ties break to the smallest id; a best peak below the threshold
+    Ties break to the smallest id; a best peak below the threshold
     yields a no-match result.
     """
-    _check_candidates(candidates, threshold)
-    ordered = sorted(candidates, key=lambda c: c.id)
-    searched = _best_lags(mic, [c.signal for c in ordered], _max_lag(mic, max_lag_ms))
-    best_id = None
-    best_peak = -math.inf
-    best_lag = None
-    for cand, (lag, peak) in zip(ordered, searched):
-        if peak > best_peak:
-            best_id, best_peak, best_lag = cand.id, peak, lag
-    if best_peak < threshold:
-        return SelectionResult(None, float(best_peak), None)
-    return SelectionResult(best_id, float(best_peak), best_lag * 1000.0 / mic.sample_rate_hz)
+    # max keeps the first of equal peaks, and _scores is in id order
+    stream_id, lag_ms, peak = max(_scores(mic, candidates, max_lag_ms, threshold), key=lambda score: score[2])
+    if peak < threshold:
+        return SelectionResult(None, peak, None)
+    return SelectionResult(stream_id, peak, lag_ms)
 
 
 def autoconnect_pipeline(
@@ -284,21 +300,21 @@ def autoconnect_pipeline(
 ) -> tuple[SelectionResult, BroadcastSink]:
     """Scan, compare, connect: returns the selection and the updated sink.
 
-    A forced stream id overrides scoring entirely (manual override), after
-    the same checks of the candidates and the threshold. On a match the
+    A forced stream id overrides the choice (manual override), not the
+    search: every candidate is checked and scored as select_stream does,
+    and the forced one is connected whatever its score. On a match the
     estimated lag becomes the sink's local alignment delay and the sink
     must accept it under the given rule set; sink errors propagate. On no
     match the sink is returned unchanged.
     """
-    if forced_stream is not None:
-        _check_candidates(candidates, threshold)
-        by_id = {c.id: c for c in candidates}
+    if forced_stream is None:
+        result = select_stream(mic, candidates, max_lag_ms, threshold)
+    else:
+        by_id = {score[0]: score[1:] for score in _scores(mic, candidates, max_lag_ms, threshold)}
         if forced_stream not in by_id:
             raise KeyError(f"forced stream {forced_stream!r} is not among the candidates")
-        lag_ms, peak = estimate_alignment_delay(mic, by_id[forced_stream].signal, max_lag_ms)
+        lag_ms, peak = by_id[forced_stream]
         result = SelectionResult(forced_stream, peak, lag_ms)
-    else:
-        result = select_stream(mic, candidates, max_lag_ms, threshold)
     if not result.matched:
         return result, sink
     updated = sink.with_local_delay(result.lag_ms)

@@ -159,6 +159,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     uncovered = False
     if args.plan is not None:
         plan = _load(planner.load_plan, args.plan, "plan file")
+        planner._check_speed(venue, plan)
         try:
             presentation = planner.zone_for_delay(plan, delay).presentation_delay_ms
         except planner.UncoveredDelayError:

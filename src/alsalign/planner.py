@@ -174,16 +174,21 @@ class PlanVerification:
         return [s.seat_id for s in self.seats if not s.covered]
 
 
+def _check_speed(venue: Venue, plan: DelayPlan) -> None:
+    """A plan's zone distances hold only at the speed of sound it was made for."""
+    if not math.isclose(venue.speed_of_sound_m_per_s, plan.speed_of_sound_m_per_s, rel_tol=_REL_SLACK):
+        raise ValueError(
+            f"venue speed {venue.speed_of_sound_m_per_s} != plan speed {plan.speed_of_sound_m_per_s}"
+        )
+
+
 def verify_plan(venue: Venue, plan: DelayPlan) -> PlanVerification:
     """Assign every seat to its zone and report residuals and classes.
 
     Seats whose delay exceeds the plan span are flagged uncovered rather
     than failing the whole verification.
     """
-    if not math.isclose(venue.speed_of_sound_m_per_s, plan.speed_of_sound_m_per_s, rel_tol=_REL_SLACK):
-        raise ValueError(
-            f"venue speed {venue.speed_of_sound_m_per_s} != plan speed {plan.speed_of_sound_m_per_s}"
-        )
+    _check_speed(venue, plan)
     rows = []
     max_abs = 0.0
     for entry in delay_map(venue):

@@ -645,19 +645,50 @@ class TestAutoconnectPipeline:
 
     @pytest.mark.parametrize("forced_stream", [None, "A"], ids=["select", "forced"])
     @pytest.mark.parametrize(
-        "ids, threshold, message",
+        "ids, threshold, spoil, message",
         [
-            ([], 0.3, "^select_stream requires at least one candidate$"),
-            (["A", "A"], 0.3, "^duplicate candidate stream ids$"),
-            (["A"], math.nan, r"^threshold must be in \(0, 1\), got nan$"),
-            (["A"], 5.0, r"^threshold must be in \(0, 1\), got 5.0$"),
-            (["A"], -1.0, r"^threshold must be in \(0, 1\), got -1.0$"),
+            ([], 0.3, None, "^select_stream requires at least one candidate$"),
+            (["A", "A"], 0.3, None, "^duplicate candidate stream ids$"),
+            (["A"], math.nan, None, r"^threshold must be in \(0, 1\), got nan$"),
+            (["A"], 5.0, None, r"^threshold must be in \(0, 1\), got 5.0$"),
+            (["A"], -1.0, None, r"^threshold must be in \(0, 1\), got -1.0$"),
+            (
+                ["A", "B"],
+                0.3,
+                lambda s: Signal(s.samples, 16000),
+                "^mismatched sample rates: mic 8000 vs stream 16000$",
+            ),
+            (
+                ["A", "B"],
+                0.3,
+                lambda s: Signal(s.samples[:40], 8000),
+                r"^lag range 0\.\.80 leaves less than 2 samples of overlap \(min signal length 40\)$",
+            ),
+            (
+                ["A", "B"],
+                0.3,
+                lambda s: Signal(1e300 * s.samples, 8000),
+                "^signals too loud: mic norm times stream norm overflows float64$",
+            ),
         ],
-        ids=["empty", "duplicate-ids", "threshold-nan", "threshold-5", "threshold-minus-1"],
+        ids=[
+            "empty",
+            "duplicate-ids",
+            "threshold-nan",
+            "threshold-5",
+            "threshold-minus-1",
+            "other-rate",
+            "too-short",
+            "too-loud",
+        ],
     )
-    def test_forced_stream_checks_candidates_like_select(self, ids, threshold, message, forced_stream):
+    def test_forced_stream_checks_candidates_like_select(self, ids, threshold, spoil, message, forced_stream):
+        # spoil replaces the last candidate's signal, so a forced "A" must
+        # still check and search "B"
         sig = gen_white_noise(1, 100, 8000)
         candidates = [CandidateStream(cid, gen_white_noise(k, 100, 8000)) for k, cid in enumerate(ids)]
+        if spoil is not None:
+            candidates[-1] = CandidateStream(ids[-1], spoil(candidates[-1].signal))
         with pytest.raises(ValueError, match=message):
             autoconnect_pipeline(
                 sig, candidates, BroadcastSink(500.0), SpecMode.AMENDED, 10.0, threshold, forced_stream
@@ -675,6 +706,26 @@ class TestAutoconnectPipeline:
                 0.3,
                 forced_stream="Z",
             )
+
+    def test_forced_result_is_the_forced_streams_search(self):
+        # the forced stream is searched in one batch with the others, and
+        # the rows of the batch must not change one another's lag or peak
+        max_lag_ms = 20.0
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            lengths = rng.choice([60, 100, 150, 250], size=int(rng.integers(2, 6)))
+            candidates = [
+                CandidateStream(f"S{j}", gen_white_noise(100 * seed + j, float(ms), 8000))
+                for j, ms in enumerate(lengths)
+            ]
+            forced = candidates[int(rng.integers(len(candidates)))]
+            source = candidates[int(rng.integers(len(candidates)))].signal
+            mic = add_noise_snr(delay_signal(source, float(rng.uniform(0.0, 15.0))), 0.0, seed=seed)
+            result, _ = autoconnect_pipeline(
+                mic, candidates, BroadcastSink(500.0), SpecMode.AMENDED, max_lag_ms, 0.3, forced.id
+            )
+            assert result.stream_id == forced.id
+            assert (result.lag_ms, result.peak_ncc) == estimate_alignment_delay(mic, forced.signal, max_lag_ms)
 
 
 class TestSnrMonotonicity:

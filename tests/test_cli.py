@@ -6,6 +6,7 @@ import json
 import math
 import pkgutil
 import tempfile
+import wave
 from pathlib import Path
 
 import pytest
@@ -150,19 +151,32 @@ class TestMapCommand:
         assert {len(row) for row in rows} == {7}
         assert [row[1] for row in rows[1:]] == ["0", "5", "10", "15"]  # distance_m, not a piece of an id
 
-    def test_speed_mismatch_is_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command",
+        [["map", "--out", "m.csv"], ["simulate", "--seat", "S0", "--out", "r.json"]],
+        ids=["map", "simulate"],
+    )
+    def test_speed_mismatch_is_input_error(self, tmp_path, capsys, command):
+        # a plan's zones hold only at its own speed of sound, for map and simulate alike
         venue = write_venue_200ft(tmp_path)
         plan = tmp_path / "plan.json"
         assert main(["plan", "--venue", str(venue), "--out", str(plan)]) == 0
+        capsys.readouterr()
         slow_venue = tmp_path / "slow.json"
         slow_venue.write_text(
             json.dumps(
-                {"speed_of_sound_m_per_s": 320, "loudspeakers": [{"x_m": 0, "y_m": 0}], "seats": []}
+                {
+                    "speed_of_sound_m_per_s": 320,
+                    "loudspeakers": [{"x_m": 0, "y_m": 0}],
+                    "seats": [{"id": "S0", "x_m": 0, "y_m": 10}],
+                }
             )
         )
-        rc = main(["map", "--venue", str(slow_venue), "--plan", str(plan), "--out", str(tmp_path / "m.csv")])
+        name, *rest, out = command
+        rc = main([name, "--venue", str(slow_venue), "--plan", str(plan), *rest, str(tmp_path / out)])
         assert rc == 2
-        assert "speed" in capsys.readouterr().err
+        assert capsys.readouterr() == ("", "error: venue speed 320.0 != plan speed 343.0\n")
+        assert not (tmp_path / out).exists()
 
 
 class TestSimulateCommand:
@@ -202,6 +216,24 @@ class TestSimulateCommand:
         report = json.loads(out.read_text())
         assert report["class"] == "echo"
         assert report["residual_ms"] == pytest.approx(177.726, abs=0.001)
+
+    def test_seat_beyond_plan_span_is_uncompensated(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        assert main(["plan", "--venue", str(write_venue_200ft(tmp_path)), "--out", str(plan)]) == 0
+        far_venue = tmp_path / "far.json"
+        far_venue.write_text(
+            json.dumps({"loudspeakers": [{"x_m": 0, "y_m": 0}], "seats": [{"id": "FAR", "x_m": 0, "y_m": 100}]})
+        )
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        argv = ["simulate", "--venue", str(far_venue), "--plan", str(plan), "--seat", "FAR", "--out", str(out)]
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "seat FAR is beyond the plan span; simulating uncompensated playback"
+        assert lines[1] == "seat FAR: residual 291.545 ms -> echo"
+        report = json.loads(out.read_text())
+        assert report["class"] == "echo"
+        assert report["residual_ms"] == 291.545  # 100 m at 343 m/s, no presentation delay
 
     def test_unknown_seat_is_input_error(self, tmp_path, capsys):
         venue = write_venue_200ft(tmp_path)
@@ -332,12 +364,13 @@ class TestAutoconnectCommand:
             (["--threshold", "nan"], "threshold must be in (0, 1), got nan"),
             (["--threshold", "5"], "threshold must be in (0, 1), got 5.0"),
             (["--threshold", "-1"], "threshold must be in (0, 1), got -1.0"),
+            (["--stream", "B=noise:8:200:8000"], "mismatched sample rates: mic 16000 vs stream 8000"),
         ],
-        ids=["duplicate-ids", "threshold-nan", "threshold-5", "threshold-minus-1"],
+        ids=["duplicate-ids", "threshold-nan", "threshold-5", "threshold-minus-1", "other-rate"],
     )
     def test_bad_candidates_are_usage_errors(self, tmp_path, capsys, extra, message, force):
-        # a forced stream skips the scoring, not the checks: it used to
-        # connect the second of two "A" streams and accept any threshold
+        # a forced stream overrides the choice, not the checks of the
+        # threshold and of every candidate
         out = tmp_path / "sel.json"
         argv = ["autoconnect", "--mic", "noise:7:200:16000", "--stream", "A=noise:7:200:16000", *extra]
         rc = main([*argv, "--max-lag-ms", "10", *force, "--out", str(out)])
@@ -557,7 +590,7 @@ MIC = ["--mic", "noise:7:200:16000", "--stream", "A=noise:7:200:16000", "--max-l
 
 
 class TestOutOfRangeInputs:
-    """Non-finite, out-of-range and oversized inputs end in exit 2 with one error line."""
+    """Out-of-range, oversized and malformed inputs end in exit 2 with one pinned error line."""
 
     @pytest.fixture
     def files(self, tmp_path):
@@ -567,6 +600,15 @@ class TestOutOfRangeInputs:
         def seat(y_m):
             return {"id": "A", "x_m": 0, "y_m": y_m}
 
+        assert main(["plan", "--venue", str(DEMO_VENUE), "--out", str(tmp_path / "demo_plan.json")]) == 0
+        demo_plan = json.loads((tmp_path / "demo_plan.json").read_text())
+
+        def plan_with(spoil):
+            plan = json.loads(json.dumps(demo_plan))
+            spoil(plan)
+            return plan
+
+        stream = {"id": "s", "sample_rate_hz": 16000}
         configs = {
             "nan_speed.json": {"speed_of_sound_m_per_s": nan, "loudspeakers": speaker, "seats": [seat(10)]},
             "far_seat.json": {"loudspeakers": speaker, "seats": [seat(1e308)]},
@@ -576,47 +618,163 @@ class TestOutOfRangeInputs:
                 "speed_of_sound_m_per_s": 343,
                 "zones": [{"index": 0, **dict.fromkeys(ZONE_KEYS, nan)}],
             },
+            "no_zones.json": plan_with(lambda p: p.update(zones=[])),
+            "index_5.json": plan_with(lambda p: p["zones"][1].update(index=5)),
+            "tolerance_10.json": plan_with(lambda p: p.update(tolerance_ms=10)),
+            "bad_distance.json": plan_with(lambda p: p["zones"][0].update(distance_hi_m=99)),
+            "three_channels.json": {"streams": [{**stream, "channels": 3}]},
+            "stream_airtime.json": {"streams": [{**stream, "airtime_fraction": 2}]},
+            "train_airtime.json": {
+                "streams": [stream],
+                "trains": [{"id": "t", "target_stream_id": "s", "presentation_delay_ms": 0, "airtime_fraction": 2}],
+            },
         }
         for name, cfg in configs.items():
             (tmp_path / name).write_text(json.dumps(cfg))
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        for name, channels, width in (("stereo.wav", 2, 2), ("8bit.wav", 1, 1)):
+            with wave.open(str(tmp_path / name), "wb") as w:
+                w.setnchannels(channels)
+                w.setsampwidth(width)
+                w.setframerate(8000)
+                w.writeframes(bytes(channels * width * 100))
         return tmp_path
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, message",
         [
-            ["autoconnect", *MIC, "--sink-buffer-ms=nan", "--out", "{tmp}/o.json"],
-            ["autoconnect", *MIC, "--snr-db=nan", "--out", "{tmp}/o.json"],
-            ["autoconnect", *MIC, "--snr-db=-1e308", "--out", "{tmp}/o.json"],
-            ["autoconnect", *MIC, "--max-lag-ms=inf", "--out", "{tmp}/o.json"],
-            ["autoconnect", "--mic", "noise:7:1e12:16000", "--stream", "A=sine:440:200:16000", "--out", "{tmp}/o.json"],
-            ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/nan_plan.json", "--out", "{tmp}/m.csv"],
-            ["simulate", "--venue", "{tmp}/nan_speed.json", "--seat", "A", "--out", "{tmp}/r.json"],
-            ["simulate", "--venue", "{tmp}/remote_seat.json", "--seat", "A", "--out", "{tmp}/r.json"],
-            ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", "--sample-rate-hz=10000000000", "--out", "{tmp}/r.json"],
-            ["plan", "--venue", "{tmp}/far_seat.json", "--out", "{tmp}/p.json"],
-            ["plan", "--venue", str(DEMO_VENUE), "--tolerance-ms=1e-300", "--out", "{tmp}/p.json"],
-            ["validate", "--config", "{tmp}/deep.json"],
-        ],
-        ids=[
-            "nan-sink-buffer",
-            "nan-snr",
-            "huge-negative-snr",
-            "inf-max-lag",
-            "sample-cap-spec",
-            "nan-plan-zones",
-            "nan-speed-of-sound",
-            "notch-cap",
-            "sample-cap-rate",
-            "seat-at-1e308-m",
-            "zone-cap",
-            "json-nested-too-deep",
+            pytest.param(
+                ["autoconnect", *MIC, "--sink-buffer-ms=nan", "--out", "{tmp}/o.json"],
+                "max_presentation_delay_ms must be > 0",
+                id="nan-sink-buffer",
+            ),
+            pytest.param(
+                ["autoconnect", *MIC, "--snr-db=nan", "--out", "{tmp}/o.json"],
+                "snr_db must be within +-300 dB, got nan",
+                id="nan-snr",
+            ),
+            pytest.param(
+                ["autoconnect", *MIC, "--snr-db=-1e308", "--out", "{tmp}/o.json"],
+                "snr_db must be within +-300 dB, got -1e+308",
+                id="huge-negative-snr",
+            ),
+            pytest.param(
+                ["autoconnect", *MIC, "--max-lag-ms=inf", "--out", "{tmp}/o.json"],
+                "max_lag_ms must be >= 0, got inf",
+                id="inf-max-lag",
+            ),
+            pytest.param(
+                ["autoconnect", "--mic", "noise:7:1e12:16000", "--stream", "A=sine:440:200:16000", "--out", "{tmp}/o.json"],
+                "bad synthetic signal spec 'noise:7:1e12:16000': 1000000000000.0 ms at 16000 Hz is more than 10000000 samples",
+                id="sample-cap-spec",
+            ),
+            pytest.param(
+                ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/nan_plan.json", "--out", "{tmp}/m.csv"],
+                "bad plan file {tmp}/nan_plan.json: zone 0: delays and distances must be finite, got (nan, nan, nan, nan, nan)",
+                id="nan-plan-zones",
+            ),
+            pytest.param(
+                ["simulate", "--venue", "{tmp}/nan_speed.json", "--seat", "A", "--out", "{tmp}/r.json"],
+                "bad venue file {tmp}/nan_speed.json: speed of sound must be > 0, got nan",
+                id="nan-speed-of-sound",
+            ),
+            pytest.param(
+                ["simulate", "--venue", "{tmp}/remote_seat.json", "--seat", "A", "--out", "{tmp}/r.json"],
+                "a 2915451.8950437317 ms delay has more than 1000000 notches up to 8000.0 Hz",
+                id="notch-cap",
+            ),
+            pytest.param(
+                ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", "--sample-rate-hz=10000000000", "--out", "{tmp}/r.json"],
+                "1000.0 ms at 10000000000 Hz is more than 10000000 samples",
+                id="sample-cap-rate",
+            ),
+            pytest.param(
+                ["plan", "--venue", "{tmp}/far_seat.json", "--out", "{tmp}/p.json"],
+                "propagation delay over 1e+308 m overflows",
+                id="seat-at-1e308-m",
+            ),
+            pytest.param(
+                ["plan", "--venue", str(DEMO_VENUE), "--tolerance-ms=1e-300", "--out", "{tmp}/p.json"],
+                "a 175.02426845252052 ms span at tolerance 1e-300 ms needs more than 100000 zones",
+                id="zone-cap",
+            ),
+            pytest.param(
+                ["validate", "--config", "{tmp}/deep.json"],
+                "broadcast config {tmp}/deep.json is not valid JSON: ",  # the rest is the json module's
+                id="json-nested-too-deep",
+            ),
+            pytest.param(
+                ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/no_zones.json", "--out", "{tmp}/m.csv"],
+                "bad plan file {tmp}/no_zones.json: plan needs at least one zone",
+                id="plan-no-zones",
+            ),
+            pytest.param(
+                ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/index_5.json", "--out", "{tmp}/m.csv"],
+                "bad plan file {tmp}/index_5.json: zone indices must be 0..N-1 ascending, got 5 at 1",
+                id="plan-index-5-at-1",
+            ),
+            pytest.param(
+                ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/tolerance_10.json", "--out", "{tmp}/m.csv"],
+                "bad plan file {tmp}/tolerance_10.json: zone 0 width 58.3414 exceeds 2*tolerance 20.0",
+                id="plan-tolerance-10",
+            ),
+            pytest.param(
+                ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/bad_distance.json", "--out", "{tmp}/m.csv"],
+                "bad plan file {tmp}/bad_distance.json: zone 0 distance 99.0 inconsistent with delay 58.3414",
+                id="plan-bad-distance",
+            ),
+            pytest.param(
+                ["validate", "--config", "{tmp}/three_channels.json"],
+                "bad broadcast config {tmp}/three_channels.json: stream s: channels must be 1 or 2, got 3",
+                id="stream-3-channels",
+            ),
+            pytest.param(
+                ["validate", "--config", "{tmp}/stream_airtime.json"],
+                "bad broadcast config {tmp}/stream_airtime.json: stream s: airtime_fraction must be in [0, 1]",
+                id="stream-airtime-2",
+            ),
+            pytest.param(
+                ["validate", "--config", "{tmp}/train_airtime.json"],
+                "bad broadcast config {tmp}/train_airtime.json: train t: airtime_fraction must be in [0, 1]",
+                id="train-airtime-2",
+            ),
+            pytest.param(
+                ["autoconnect", "--mic", "{tmp}/stereo.wav", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
+                "cannot read WAV '{tmp}/stereo.wav': expected mono WAV, got 2 channels",
+                id="mic-stereo-wav",
+            ),
+            pytest.param(
+                ["autoconnect", "--mic", "{tmp}/8bit.wav", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
+                "cannot read WAV '{tmp}/8bit.wav': expected 16-bit PCM, got 8-bit",
+                id="mic-8-bit-wav",
+            ),
+            pytest.param(
+                ["autoconnect", "--mic", "{tmp}/none.wav", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
+                "signal source not found: {tmp}/none.wav",
+                id="mic-missing-wav",
+            ),
+            pytest.param(
+                ["autoconnect", "--mic", "noise:1:100", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
+                "bad synthetic signal spec 'noise:1:100': expected noise:<a>:<ms>:<sr>",
+                id="mic-spec-two-fields",
+            ),
+            pytest.param(
+                ["autoconnect", *MIC, "--stream", "B=noise:1:0:8000", "--out", "{tmp}/o.json"],
+                "candidate 'B' has an empty signal",
+                id="empty-stream",
+            ),
+            pytest.param(
+                ["autoconnect", *MIC, "--force-stream", "Z", "--out", "{tmp}/o.json"],
+                "forced stream 'Z' is not among the candidates",
+                id="unknown-forced-stream",
+            ),
         ],
     )
-    def test_rejected_with_one_error_line(self, files, capsys, argv):
+    def test_rejected_with_one_error_line(self, files, capsys, argv, message):
+        capsys.readouterr()
         assert main([a.format(tmp=files) for a in argv]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ")
+        assert err.startswith(f"error: {message.format(tmp=files)}")
         assert err.count("\n") == 1
 
 
