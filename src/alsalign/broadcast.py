@@ -78,11 +78,11 @@ class AudioStreamDescriptor:
 
     def __post_init__(self):
         if not 0 < self.sample_rate_hz < math.inf:
-            raise ValueError(f"stream {self.id}: sample_rate_hz must be > 0")
+            raise ValueError(f"stream {self.id}: sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         if self.channels not in (1, 2):
             raise ValueError(f"stream {self.id}: channels must be 1 or 2, got {self.channels}")
         if not 0 <= self.airtime_fraction <= 1:
-            raise ValueError(f"stream {self.id}: airtime_fraction must be in [0, 1]")
+            raise ValueError(f"stream {self.id}: airtime_fraction must be in [0, 1], got {self.airtime_fraction}")
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,9 @@ class AdvertisingTrain:
 
     def __post_init__(self):
         if not 0 <= self.presentation_delay_ms < math.inf:
-            raise ValueError(f"train {self.id}: presentation_delay_ms must be >= 0")
+            raise ValueError(f"train {self.id}: presentation_delay_ms must be >= 0, got {self.presentation_delay_ms}")
         if not 0 <= self.airtime_fraction <= 1:
-            raise ValueError(f"train {self.id}: airtime_fraction must be in [0, 1]")
+            raise ValueError(f"train {self.id}: airtime_fraction must be in [0, 1], got {self.airtime_fraction}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,9 @@ class BroadcastSink:
 
     def __post_init__(self):
         if not 0 < self.max_presentation_delay_ms < math.inf:
-            raise ValueError("max_presentation_delay_ms must be > 0")
+            raise ValueError(f"max_presentation_delay_ms must be > 0, got {self.max_presentation_delay_ms}")
         if not 0 <= self.local_alignment_delay_ms < math.inf:
-            raise ValueError("local_alignment_delay_ms must be >= 0")
+            raise ValueError(f"local_alignment_delay_ms must be >= 0, got {self.local_alignment_delay_ms}")
 
     def with_local_delay(self, local_alignment_delay_ms: float) -> "BroadcastSink":
         return replace(self, local_alignment_delay_ms=local_alignment_delay_ms)

@@ -46,8 +46,10 @@ class MixSpec:
     acoustic_gain: float = 1.0
 
     def __post_init__(self):
-        if not (0 <= self.broadcast_gain < math.inf and 0 <= self.acoustic_gain < math.inf):
-            raise ValueError("gains must be >= 0")
+        for name in ("broadcast_gain", "acoustic_gain"):
+            gain = getattr(self, name)
+            if not 0 <= gain < math.inf:
+                raise ValueError(f"{name} must be >= 0, got {gain}")
 
 
 def classify_residual(residual_ms: float) -> DistortionClass:

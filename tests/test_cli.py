@@ -624,6 +624,11 @@ class TestOutOfRangeInputs:
             "bad_distance.json": plan_with(lambda p: p["zones"][0].update(distance_hi_m=99)),
             "three_channels.json": {"streams": [{**stream, "channels": 3}]},
             "stream_airtime.json": {"streams": [{**stream, "airtime_fraction": 2}]},
+            "stream_rate_0.json": {"streams": [{**stream, "sample_rate_hz": 0}]},
+            "train_delay_negative.json": {
+                "streams": [stream],
+                "trains": [{"id": "t", "target_stream_id": "s", "presentation_delay_ms": -1.5}],
+            },
             "train_airtime.json": {
                 "streams": [stream],
                 "trains": [{"id": "t", "target_stream_id": "s", "presentation_delay_ms": 0, "airtime_fraction": 2}],
@@ -645,7 +650,7 @@ class TestOutOfRangeInputs:
         [
             pytest.param(
                 ["autoconnect", *MIC, "--sink-buffer-ms=nan", "--out", "{tmp}/o.json"],
-                "max_presentation_delay_ms must be > 0",
+                "max_presentation_delay_ms must be > 0, got nan",
                 id="nan-sink-buffer",
             ),
             pytest.param(
@@ -730,13 +735,23 @@ class TestOutOfRangeInputs:
             ),
             pytest.param(
                 ["validate", "--config", "{tmp}/stream_airtime.json"],
-                "bad broadcast config {tmp}/stream_airtime.json: stream s: airtime_fraction must be in [0, 1]",
+                "bad broadcast config {tmp}/stream_airtime.json: stream s: airtime_fraction must be in [0, 1], got 2",
                 id="stream-airtime-2",
             ),
             pytest.param(
                 ["validate", "--config", "{tmp}/train_airtime.json"],
-                "bad broadcast config {tmp}/train_airtime.json: train t: airtime_fraction must be in [0, 1]",
+                "bad broadcast config {tmp}/train_airtime.json: train t: airtime_fraction must be in [0, 1], got 2",
                 id="train-airtime-2",
+            ),
+            pytest.param(
+                ["validate", "--config", "{tmp}/stream_rate_0.json"],
+                "bad broadcast config {tmp}/stream_rate_0.json: stream s: sample_rate_hz must be > 0, got 0",
+                id="stream-rate-0",
+            ),
+            pytest.param(
+                ["validate", "--config", "{tmp}/train_delay_negative.json"],
+                "bad broadcast config {tmp}/train_delay_negative.json: train t: presentation_delay_ms must be >= 0, got -1.5",
+                id="train-delay-negative",
             ),
             pytest.param(
                 ["autoconnect", "--mic", "{tmp}/stereo.wav", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],

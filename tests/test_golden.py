@@ -1,7 +1,8 @@
 """The README quick-start invocations give the committed golden bytes.
 
 bench/golden/ holds the stdout and the output file of each invocation, as
-the benchmark checks them; this test only reads that directory.
+the benchmark checks them; this test only reads that directory. Each
+invocation runs both in-process and as a fresh `python -m alsalign` process.
 """
 
 from pathlib import Path
@@ -38,13 +39,26 @@ QUICK_START = {
 }
 
 
-@pytest.mark.parametrize("sub", list(QUICK_START))
-def test_quick_start_output_bytes(sub, tmp_path, monkeypatch, capsys):
-    argv, out, exit_code = QUICK_START[sub]
+@pytest.fixture(params=["in-process", "python-m"])
+def run(request, tmp_path, monkeypatch, capsys, fresh_process):
+    """Run an argv from an empty directory; return (exit code, stdout, stderr) as bytes."""
     monkeypatch.chdir(tmp_path)
-    assert main(argv) == exit_code
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert captured.out.encode() == (GOLDEN / f"{sub}.stdout").read_bytes()
+
+    def python_m(argv):  # the entry the benchmark spawns
+        done = fresh_process("-m", "alsalign", *argv)
+        return done.returncode, done.stdout, done.stderr
+
+    def in_process(argv):
+        exit_code = main(argv)
+        captured = capsys.readouterr()
+        return exit_code, captured.out.encode(), captured.err.encode()
+
+    return python_m if request.param == "python-m" else in_process
+
+
+@pytest.mark.parametrize("sub", list(QUICK_START))
+def test_quick_start_output_bytes(sub, run, tmp_path):
+    argv, out, exit_code = QUICK_START[sub]
+    assert run(argv) == (exit_code, (GOLDEN / f"{sub}.stdout").read_bytes(), b"")
     if out is not None:
         assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes()

@@ -124,8 +124,10 @@ class TestEarSignal:
             ear_signal(gen_sine(100, 10, 8000), gen_sine(100, 10, 16000), 0.0, MixSpec())
 
     def test_negative_gain_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^broadcast_gain must be >= 0, got -0\.1$"):
             MixSpec(-0.1, 1.0)
+        with pytest.raises(ValueError, match=r"^acoustic_gain must be >= 0, got -0\.1$"):
+            MixSpec(1.0, -0.1)
 
 
 NAN, INF = float("nan"), float("inf")
