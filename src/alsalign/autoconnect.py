@@ -7,12 +7,12 @@ as the listener's local alignment delay.
 
 The lag search is a generalized cross-correlation without weighting
 (Knapp & Carter, 1976): the mic is transformed once per selection (once
-per overlap length, when candidates are shorter than the mic), one FFT
-per stream then estimates every lag's score with a rounding bound, and
-the few lags that could still be the peak are re-scored exactly, as the
-pairwise sum of the window's products. Lag and peak are therefore those
-of an exhaustive search, bit for bit. No step calls BLAS, so the bits do
-not depend on the thread count either.
+per overlap length, when candidates are shorter than the mic), FFTs
+over the rows of all streams then estimate every lag's score with a
+rounding bound, and the few lags that could still be the peak are
+re-scored exactly, as the pairwise sum of the window's products. Lag
+and peak are therefore those of an exhaustive search, bit for bit. No
+step calls BLAS, so the bits do not depend on the thread count either.
 """
 
 from __future__ import annotations
@@ -108,12 +108,15 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
     exact score is taken only at lags whose upper bound reaches the best
     lower bound of that stream. Window norms come from prefix and suffix
     sums of squares. Streams that share an overlap length n share the
-    mic's window norms and spectrum, and are scored as rows of one array.
-    Each overlap length gets one work block, and every float array of its
-    search is a view into it, written in place: the two spectra, one line
-    for the squares, a correlation row and the re-score products, and
-    three (streams, lags) arrays for the denominators, the estimates and
-    upper bounds, and the radii, lower bounds and scores.
+    mic's window norms and spectrum, and are scored as rows of one array:
+    one cumsum and one forward FFT along the rows serve them all, and the
+    inverse FFT takes as many rows at a time as fit where their samples
+    were. Each overlap length gets one work block, and every float array
+    of its search is a view into it, written in place: the denominators;
+    the mic's and each stream's spectrum, whose floats hold the squares
+    before the transforms and the radii, lower bounds and scores after
+    them; and the streams' samples, whose place then holds the correlation
+    lines and the estimates and upper bounds, then the re-score products.
     Raises ValueError when max_lag_ms is negative, infinite or overflows
     at the mic's rate, and when a stream norm times the mic norm overflows.
     """
@@ -139,7 +142,7 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
     import numpy as np
 
     nlags = max_lag_samples + 1
-    results: list[tuple[float, float]] = [(0.0, 0.0)] * len(streams)
+    results: list = [None] * len(streams)
     for n in sorted(set(lengths)):
         rows = [k for k, length in enumerate(lengths) if length == n]
         m = mic.samples[:n]
@@ -147,6 +150,10 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
         size = _fft_size(n + max_lag_samples)  # no wrap-around into lags 0..max_lag
         bins = size // 2 + 1
         cells = len(rows) * nlags
+        # the inverse FFT writes as many correlation lines at a time as fit in
+        # the samples' place beside the estimates, and at least one
+        batch = max(1, (len(rows) * n - cells) // size)
+        spectra_end = cells + 2 * bins * (len(rows) + 1)
 
         # One work block for this overlap length; every float array below is a
         # view into it. On glibc this also keeps the search's memory mapped
@@ -157,21 +164,30 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
         # the caller's signals come from the heap, which is given back to the
         # OS, and page-faulted in again, only when more than twice the block
         # lies free at its top.
-        block = np.empty(3 * cells + 4 * bins + size)
-        denoms, nums, scores = block[: 3 * cells].reshape(3, len(rows), nlags)
-        m_spec, s_spec = block[3 * cells : 3 * cells + 4 * bins].view(np.complex128).reshape(2, bins)
-        line = block[3 * cells + 4 * bins :]  # squares, then a correlation row, then products
+        block = np.empty(spectra_end + max(len(rows) * n, batch * size + cells))
+        denoms = block[:cells].reshape(len(rows), nlags)
+        spectra = block[cells:spectra_end].view(np.complex128).reshape(len(rows) + 1, bins)
+        m_spec, s_specs = spectra[0], spectra[1:]
+        # the spectra's floats hold the squares before the transforms, and the
+        # scores after them
+        squares = block[cells : cells + len(rows) * n].reshape(len(rows), n)
+        scores = block[cells : 2 * cells].reshape(len(rows), nlags)
+        # the rest holds the samples, then correlation lines and the estimates,
+        # then the re-score products
+        samples = block[spectra_end : spectra_end + len(rows) * n].reshape(len(rows), n)
+        lines_end = spectra_end + batch * size
+        lines = block[spectra_end:lines_end].reshape(batch, size)
+        nums = block[lines_end : lines_end + cells].reshape(len(rows), nlags)
+        np.stack(ss, out=samples)
 
         # window norms for lag = 0 .. max_lag: |s[0:n-lag]| from prefix sums
         # of squares (a row per stream) and |m[lag:n]| from suffix sums
-        squares = line[:n]
+        m_squares = squares[0]
         with np.errstate(over="ignore", invalid="ignore"):  # signals this loud raise below
-            for row, s in enumerate(ss):
-                np.cumsum(np.square(s, out=squares), out=squares)
-                denoms[row] = squares[n - nlags :][::-1]
-            np.sqrt(denoms, out=denoms)
-            np.cumsum(np.square(m[::-1], out=squares), out=squares)
-            m_norms = np.sqrt(squares[n - nlags :], out=squares[n - nlags :])[::-1]
+            np.cumsum(np.square(samples, out=squares), axis=1, out=squares)
+            np.sqrt(squares[:, n - nlags :][:, ::-1], out=denoms)
+            np.cumsum(np.square(m[::-1], out=m_squares), out=m_squares)
+            m_norms = np.sqrt(m_squares[n - nlags :], out=m_squares[n - nlags :])[::-1]
             norm_s, norm_m = denoms[:, 0].copy(), float(m_norms[0])
             denoms *= m_norms
             if not np.isfinite(norm_s * norm_m).all():
@@ -208,13 +224,16 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
         # below denom = bound a score's interval is wider than [-1, 1] and
         # dividing by denom can overflow: such lags are always scored exactly
         sharp = (denoms >= bound) & in_range[:, None]
-        nums[~in_range] = 0.0
+        # the transforms estimate every row; rows outside the range are never
+        # sharp, so their estimates are not read. They cannot overflow: the mic
+        # is in range, and a stream norm whose square is finite is below 2**512.
         if in_range.any():
             np.fft.rfft(m, size, out=m_spec)
-            for row in np.flatnonzero(in_range):
-                np.conj(np.fft.rfft(ss[row], size, out=s_spec), out=s_spec)
-                np.multiply(m_spec, s_spec, out=s_spec)
-                nums[row] = np.fft.irfft(s_spec, size, out=line)[:nlags]
+            np.conj(np.fft.rfft(samples, size, axis=1, out=s_specs), out=s_specs)
+            np.multiply(m_spec, s_specs, out=s_specs)
+            for row in range(0, len(rows), batch):
+                part = np.fft.irfft(s_specs[row : row + batch], size, axis=1, out=lines[: len(rows) - row])
+                nums[row : row + batch] = part[:, :nlags]
         # each row keeps the lags whose upper bound reaches its best lower bound;
         # at lags that are not sharp the quotients are unused and may be inf or nan.
         # scores holds the radii, then the lower bounds, then the radii again.
@@ -229,7 +248,7 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
         scores.fill(0.0)
         scores[nonzero] = -np.inf
         for row, lag in zip(*np.nonzero(exact)):
-            window = np.multiply(ss[row][: n - lag], m[lag:], out=line[: n - lag])
+            window = np.multiply(ss[row][: n - lag], m[lag:], out=lines[0, : n - lag])
             scores[row, lag] = np.add.reduce(window) / denoms[row, lag]
         best = np.argmax(scores, axis=1)  # argmax returns the first (smallest) lag on ties
         for row, k in enumerate(rows):

@@ -47,7 +47,8 @@ class SplitMix64:
         2**64) and the state is then advanced past it. The top 53 bits
         convert to floats exactly; scaling them by 2**-52 instead of 2**-53
         and then by 2 is exact, and so is subtracting 1 from a multiple of
-        2**-52 in [0, 2).
+        2**-52 in [0, 2). The floats are written over the spent shift
+        buffer, so the block costs two arrays of n.
         """
         if n < 0:
             raise ValueError(f"block length must be >= 0, got {n}")
@@ -63,7 +64,6 @@ class SplitMix64:
         z ^= np.right_shift(z, 31, out=shifted)
         z >>= 11
         self._state = (self._state + n * _GAMMA) & _MASK64
-        u = z.astype(np.float64)
-        u *= 2.0**-52
+        u = np.multiply(z, 2.0**-52, out=shifted.view(np.float64))
         u -= 1.0
         return u

@@ -48,11 +48,7 @@ class Signal:
         arr = np.asarray(self.samples, dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError(f"samples must be 1-D, got shape {arr.shape}")
-        # one NaN or inf would spread to every lag of an FFT correlation
-        finite = np.isfinite(arr)
-        if not finite.all():
-            first = int(np.argmin(finite))
-            raise ValueError(f"samples must be finite, got {arr[first]} at index {first}")
+        _require_finite(arr)
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
@@ -76,6 +72,25 @@ class Signal:
         return math.sqrt(self.power())
 
 
+def _require_finite(arr: np.ndarray) -> None:
+    import numpy as np
+
+    # one NaN or inf would spread to every lag of an FFT correlation
+    finite = np.isfinite(arr)
+    if not finite.all():
+        first = int(np.argmin(finite))
+        raise ValueError(f"samples must be finite, got {arr[first]} at index {first}")
+
+
+def _own(samples: np.ndarray, sample_rate_hz: int) -> Signal:
+    """A Signal over a 1-D finite float64 array made here, at a checked rate: no copy, no scan."""
+    samples.flags.writeable = False
+    sig = object.__new__(Signal)
+    object.__setattr__(sig, "samples", samples)
+    object.__setattr__(sig, "sample_rate_hz", sample_rate_hz)
+    return sig
+
+
 def _num_samples(duration_ms: float, sample_rate_hz: int) -> int:
     if not 0 <= duration_ms < math.inf:
         raise ValueError(f"duration_ms must be >= 0, got {duration_ms}")
@@ -91,7 +106,7 @@ def _num_samples(duration_ms: float, sample_rate_hz: int) -> int:
 def gen_white_noise(seed: int, duration_ms: float, sample_rate_hz: int) -> Signal:
     """White noise, i.i.d. uniform on [-1, 1), bit-identical per (seed, params)."""
     n = _num_samples(duration_ms, sample_rate_hz)
-    return Signal(SplitMix64(seed).symmetric_block(n), sample_rate_hz)
+    return _own(SplitMix64(seed).symmetric_block(n), sample_rate_hz)
 
 
 def gen_sine(freq_hz: float, duration_ms: float, sample_rate_hz: int, amplitude: float = 1.0) -> Signal:
@@ -127,7 +142,7 @@ def delay_signal(sig: Signal, delay_ms: float) -> Signal:
     out = np.zeros(n)
     if shift < n:
         out[shift:] = sig.samples[: n - shift]
-    return Signal(out, sig.sample_rate_hz)
+    return _own(out, sig.sample_rate_hz)
 
 
 def mix(parts: list[tuple[Signal, float]]) -> Signal:
@@ -163,8 +178,10 @@ def add_noise_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
     noise = SplitMix64(seed).symmetric_block(len(sig))
     p_noise = float(np.mean(np.square(noise)))
     target = p_sig / 10.0 ** (snr_db / 10.0)
-    scale = np.sqrt(target / p_noise)
-    return Signal(sig.samples + scale * noise, sig.sample_rate_hz)
+    noise *= np.sqrt(target / p_noise)
+    noise += sig.samples
+    _require_finite(noise)
+    return _own(noise, sig.sample_rate_hz)
 
 
 def write_wav(sig: Signal, path) -> None:

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,38 @@ def fresh_python(fresh_process):
         return fresh_process("-c", code, *args, text=True, **kwargs)
 
     return run
+
+
+@pytest.fixture
+def large_allocation_steps():
+    """Return count(fn, min_bytes=64 KiB): run fn under tracemalloc and count the steps of min_bytes or more.
+
+    A profile hook reads traced memory at every Python and C call and
+    return, then resets its peak. A step is a rise of the peak by
+    min_bytes above the level at the previous event, so each array of
+    min_bytes or more counts once, except that arrays made between the
+    same two events count once together.
+    """
+
+    def count(fn, min_bytes=64 * 1024):
+        steps = level = 0
+
+        def hook(frame, event, arg):
+            nonlocal steps, level
+            current, peak = tracemalloc.get_traced_memory()
+            if peak - level >= min_bytes:
+                steps += 1
+            tracemalloc.reset_peak()
+            level = current
+
+        tracemalloc.start()
+        level = tracemalloc.get_traced_memory()[0]
+        sys.setprofile(hook)
+        try:
+            fn()
+        finally:
+            sys.setprofile(None)
+            tracemalloc.stop()
+        return steps
+
+    return count

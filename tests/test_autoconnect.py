@@ -1,6 +1,4 @@
 import math
-import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,40 +230,10 @@ def test_silent_mic_scores_zero():
     assert loop_search(mic, stream, 250) == (0, 0.0)
 
 
-def large_allocation_steps(fn, min_bytes=64 * 1024):
-    """Run fn under tracemalloc and count the steps of min_bytes or more.
-
-    A profile hook reads traced memory at every Python and C call and
-    return, then resets its peak. A step is a rise of the peak by
-    min_bytes above the level at the previous event, so each array of
-    min_bytes or more counts once, except that arrays made between the
-    same two events count once together.
-    """
-    steps = level = 0
-
-    def hook(frame, event, arg):
-        nonlocal steps, level
-        current, peak = tracemalloc.get_traced_memory()
-        if peak - level >= min_bytes:
-            steps += 1
-        tracemalloc.reset_peak()
-        level = current
-
-    tracemalloc.start()
-    level = tracemalloc.get_traced_memory()[0]
-    sys.setprofile(hook)
-    try:
-        fn()
-    finally:
-        sys.setprofile(None)
-        tracemalloc.stop()
-    return steps
-
-
 @pytest.mark.parametrize(
     "durations_ms, groups", [((1000, 1000, 1000), 1), ((1000, 900, 1000), 2)], ids=["one-overlap", "two-overlaps"]
 )
-def test_one_large_allocation_per_overlap_length(durations_ms, groups):
+def test_one_large_allocation_per_overlap_length(durations_ms, groups, large_allocation_steps):
     # the search keeps every float work array in one block per overlap
     # length; arrays of this size made one by one are mapped afresh, and
     # page-faulted, on every search
@@ -317,6 +285,16 @@ def _one_row_out_of_fft_range():
     return _planted_mic(rng, planted, 40, 0.2), streams, 120, "tiny"
 
 
+def _one_loud_row():
+    # "loud" has a norm above 2**450, so its row takes no estimate from the
+    # 2-D transform that the other rows, at FFT size 864, do use; it is the
+    # planted stream and must still win
+    rng = np.random.default_rng(43)
+    planted = rng.normal(size=600)
+    streams = {"loud": 2.0**460 * planted, "other": rng.normal(size=600), "zeta": rng.normal(size=600)}
+    return _planted_mic(rng, planted, 70, 0.3), streams, 200, "loud"
+
+
 def _identical_pair():
     # the same samples under "B" and "A": equal peaks break to the smaller id
     rng = np.random.default_rng(37)
@@ -333,8 +311,22 @@ def _all_below_threshold():
 
 @pytest.mark.parametrize(
     "case",
-    [_mixed_lengths, _silent_and_constant, _one_row_out_of_fft_range, _identical_pair, _all_below_threshold],
-    ids=["mixed-lengths", "silent-and-constant", "one-row-out-of-fft-range", "identical-pair", "all-below-threshold"],
+    [
+        _mixed_lengths,
+        _silent_and_constant,
+        _one_row_out_of_fft_range,
+        _one_loud_row,
+        _identical_pair,
+        _all_below_threshold,
+    ],
+    ids=[
+        "mixed-lengths",
+        "silent-and-constant",
+        "one-row-out-of-fft-range",
+        "one-loud-row",
+        "identical-pair",
+        "all-below-threshold",
+    ],
 )
 def test_select_stream_equals_loop_oracle(case):
     mic_samples, streams, max_lag, winner = case()
@@ -399,16 +391,17 @@ def adversarial_mismatches(monkeypatch, n, max_lag, f):
 
     The wrapped irfft lowers the exact winner's estimate by f * R and raises
     every other lag's by f * R, where R = 4 * size * eps * |s| * |m| is the
-    search's radius before division by the window norms.
+    search's radius before division by the window norms. It indexes the
+    last axis, so it perturbs a 1-D row and every row of a 2-D transform.
     """
     irfft, case = np.fft.irfft, {}
 
     def perturbed_irfft(a, size, **kwargs):
         out = irfft(a, size, **kwargs)
         shift = f * 4 * size * autoconnect._EPS * case["norms"]
-        winner = out[case["lag"]] - shift
-        out[: max_lag + 1] += shift
-        out[case["lag"]] = winner
+        winner = out[..., case["lag"]] - shift
+        out[..., : max_lag + 1] += shift
+        out[..., case["lag"]] = winner
         return out
 
     monkeypatch.setattr(np.fft, "irfft", perturbed_irfft)
@@ -553,6 +546,14 @@ class TestSelectStream:
             assert result.stream_id == base.stream_id
             assert result.lag_ms == base.lag_ms
             assert result.peak_ncc == pytest.approx(base.peak_ncc, abs=1e-12)
+
+    def test_peak_equal_to_threshold_matches(self):
+        cands = self.make_candidates()
+        mic = add_noise_snr(delay_signal(cands[1].signal, 30.0), 0.0, seed=11)
+        peak = select_stream(mic, cands, 100.0).peak_ncc
+        assert 0.0 < peak < 1.0
+        result = select_stream(mic, cands, 100.0, threshold=peak)
+        assert (result.stream_id, result.peak_ncc, result.lag_ms) == ("B", peak, 30.0)
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):

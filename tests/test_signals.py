@@ -68,6 +68,12 @@ class TestDelaySignal:
         assert np.all(out.samples[:160] == 0.0)
         assert np.array_equal(out.samples[160:], sig.samples[:-160])
 
+    def test_one_sample_delay(self):
+        sig = gen_white_noise(3, 10, 16000)
+        out = delay_signal(sig, 1000.0 / 16000)
+        assert out.samples[0] == 0.0
+        assert np.array_equal(out.samples[1:], sig.samples[:-1])
+
     def test_subsample_delay_rounds_to_even(self):
         sig = gen_white_noise(3, 10, 16000)
         out = delay_signal(sig, 0.03)  # 0.48 samples -> 0
@@ -165,12 +171,46 @@ class TestAddNoiseSnr:
         with pytest.raises(ValueError):
             add_noise_snr(silent, 0.0, seed=1)
 
+    def test_nonfinite_sum_rejected(self):
+        # the power of these samples overflows to inf, and so does the noise scale
+        loud = Signal(np.full(4, 1e200), 16000)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^samples must be finite, got inf at index 0$"):
+            add_noise_snr(loud, 0.0, seed=1)
+
 
 class TestSignalType:
     def test_immutable_samples(self):
         sig = gen_white_noise(1, 10, 16000)
         with pytest.raises(ValueError):
             sig.samples[0] = 2.0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: delay_signal(gen_white_noise(1, 10, 16000), 1.0),
+            lambda: add_noise_snr(gen_white_noise(1, 10, 16000), 0.0, seed=2),
+        ],
+        ids=["delay", "add-noise"],
+    )
+    def test_derived_samples_are_read_only(self, make):
+        samples = make().samples
+        assert not samples.flags.writeable
+        with pytest.raises(ValueError):
+            samples[0] = 2.0
+
+    def test_constructor_copies_its_input(self):
+        arr = np.array([0.25, -0.5, 0.75])
+        sig = Signal(arr, 8000)
+        arr[0] = 1.0
+        assert np.array_equal(sig.samples, [0.25, -0.5, 0.75])
+
+    def test_white_noise_keeps_its_block(self, large_allocation_steps):
+        # the generator's two uint64 work arrays are its only arrays of
+        # 8 * n bytes: the floats reuse one of them, and the signal holds
+        # them without a copy
+        n = 16000
+        gen_white_noise(1, 1000, n)
+        assert large_allocation_steps(lambda: gen_white_noise(1, 1000, n), min_bytes=8 * n) <= 2
 
     def test_duration(self):
         assert gen_white_noise(1, 250, 8000).duration_ms == 250.0
