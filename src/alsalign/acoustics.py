@@ -197,6 +197,20 @@ def venue_from_dict(data: dict) -> Venue:
     return _read(Venue, data, "venue config")
 
 
-def load_venue(path) -> Venue:
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _load_json(path):
+    """The JSON value in the file at path; a key repeated within an object raises ValueError."""
     with open(path, encoding="utf-8") as f:
-        return venue_from_dict(json.load(f))
+        return json.load(f, object_pairs_hook=_unique_keys)
+
+
+def load_venue(path) -> Venue:
+    return venue_from_dict(_load_json(path))

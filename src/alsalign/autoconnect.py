@@ -87,12 +87,15 @@ class SelectionResult:
 
 
 def _fft_size(min_size: int) -> int:
-    """Smallest 2**a * 3**b >= min_size; pocketfft is slow at prime lengths."""
+    """Smallest 2**a * 3**b * 5**c >= min_size; pocketfft has fast passes for these factors."""
     best = 1 << (min_size - 1).bit_length()
-    power3 = 3
-    while power3 < best:
-        best = min(best, power3 << (-(-min_size // power3) - 1).bit_length())
-        power3 *= 3
+    power5 = 1
+    while power5 < best:
+        odd = power5
+        while odd < best:  # odd * 2**a >= min_size from a = bit_length(ceil(min_size / odd) - 1)
+            best = min(best, odd << ((min_size - 1) // odd).bit_length())
+            odd *= 3
+        power5 *= 5
     return best
 
 
@@ -178,7 +181,7 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
         lines_end = spectra_end + batch * size
         lines = block[spectra_end:lines_end].reshape(batch, size)
         nums = block[lines_end : lines_end + cells].reshape(len(rows), nlags)
-        np.stack(ss, out=samples)
+        np.concatenate(ss, out=samples.reshape(-1))
 
         # window norms for lag = 0 .. max_lag: |s[0:n-lag]| from prefix sums
         # of squares (a row per stream) and |m[lag:n]| from suffix sums
@@ -203,23 +206,34 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
         # gamma_k = k*u/(1 - k*u), n <= size, and s_w, m_w are the windows
         # at a lag (Higham, Accuracy and Stability of Numerical Algorithms,
         # 2nd ed., 2002):
-        # - FFT (§24.1, Thm 24.2): a radix-2 transform with twiddles good to
-        #   u errs normwise by at most L*eta, eta = u + gamma_4*(sqrt(2) + u)
-        #   ~ 3.33 eps. Each spectrum is at most sqrt(n) times its signal's
-        #   norm in every bin, so the two forward transforms, the product
-        #   (sqrt(2)*gamma_2) and the inverse put every estimate within
-        #   (10 L + 3) * sqrt(size) * eps * |s| * |m|.
+        # - FFT: pocketfft transforms size = 2**a * 3**b * 5**c in passes of
+        #   radix 4, 2, 3 and 5. A radix-p pass multiplies the values of each
+        #   group of p by twiddles good to u and adds them in a p-point
+        #   butterfly, sqrt(p) times a unitary map. To first order its
+        #   roundings add G d to the output, where each rounding d_r is at most
+        #   u times a value a_r . x and G carries it to the outputs, so the
+        #   pass errs normwise by eta_p <= u * |G|_2 * |A|_2 / sqrt(p) of its
+        #   output (A has the rows a_r). Over pocketfft's butterflies and every
+        #   twiddle angle this gives eta_2 <= 2.9, eta_3 <= 4.7, eta_4 <= 3.8
+        #   and eta_5 <= 6.3 eps: each below log2(p) * eta, with the radix-2
+        #   bound eta = u + gamma_4*(sqrt(2) + u) ~ 3.33 eps of §24.1, Thm
+        #   24.2. So every transform errs normwise by at most L*eta, as a
+        #   radix-2 one does. Each spectrum is at most sqrt(n) times its
+        #   signal's norm in every bin, so the two forward transforms, the
+        #   product (sqrt(2)*gamma_2) and the inverse put every estimate
+        #   within (10 L + 3) * sqrt(size) * eps * |s| * |m|.
         # - exact score: one rounded product per term, then numpy's pairwise
         #   sum: eight running sums over blocks of at most 128 samples,
         #   joined by a halving tree (§4.2). That is at most
         #   k = min(n, ceil(log2 n) + 21) roundings deep, so the score errs by
-        #   at most gamma_k * sum|s_i m_i|. Any summation order, np.dot's
-        #   included, gives at most gamma_n. Either is <= n * eps * |s_w| *
-        #   |m_w| by Cauchy-Schwarz.
-        # The two add up to less than 4 * size * eps * |s| * |m| for
-        # size >= 576; below that the worst case of this chain exceeds the
-        # radius by up to 3x, so those rows skip the FFT and every lag is
-        # scored exactly.
+        #   at most gamma_k * sum|s_i m_i| <= gamma_k * |s_w| * |m_w| by
+        #   Cauchy-Schwarz. Any summation order, np.dot's included, gives at
+        #   most gamma_n.
+        # With the pairwise sum the two add up to less than
+        # 4 * size * eps * |s| * |m| for size >= 576; the largest size below
+        # it, 540 = 2**2 * 3**3 * 5, exceeds the radius by 1.6%, and the
+        # smallest ones by about 3x. So rows below 576 skip the FFT and every
+        # lag is scored exactly.
         bound = (4 * size * _EPS * norm_s * norm_m)[:, None]
         # below denom = bound a score's interval is wider than [-1, 1] and
         # dividing by denom can overflow: such lags are always scored exactly
@@ -240,14 +254,15 @@ def _best_lags(mic: Signal, streams: list[Signal], max_lag_ms: float) -> list[tu
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             nums /= denoms  # the FFT's estimate of each score
             np.subtract(nums, np.divide(bound, denoms, out=scores), out=scores)
-            scores[~sharp] = -np.inf
-            best_lower = scores.max(axis=1, keepdims=True)
+            best_lower = np.max(scores, axis=1, where=sharp, initial=-np.inf, keepdims=True)
             nums += np.divide(bound, denoms, out=scores)  # upper bounds
-            exact = np.where(sharp, nums >= best_lower, nonzero)
+            exact = nonzero.copy()
+            np.greater_equal(nums, best_lower, out=exact, where=sharp)
 
         scores.fill(0.0)
-        scores[nonzero] = -np.inf
-        for row, lag in zip(*np.nonzero(exact)):
+        np.copyto(scores, -np.inf, where=nonzero)
+        exact_rows, exact_lags = np.nonzero(exact)
+        for row, lag in zip(exact_rows.tolist(), exact_lags.tolist()):
             window = np.multiply(ss[row][: n - lag], m[lag:], out=lines[0, : n - lag])
             scores[row, lag] = np.add.reduce(window) / denoms[row, lag]
         best = np.argmax(scores, axis=1)  # argmax returns the first (smallest) lag on ties

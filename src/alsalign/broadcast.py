@@ -10,12 +10,11 @@ alignment delay.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .acoustics import SPEED_OF_SOUND_M_PER_S, _convert, _read, propagation_delay_ms
+from .acoustics import SPEED_OF_SOUND_M_PER_S, _convert, _load_json, _read, propagation_delay_ms
 
 __all__ = [
     "SpecMode",
@@ -250,5 +249,4 @@ def source_from_dict(data: dict) -> tuple[BroadcastSource, SpecMode | None]:
 
 
 def load_broadcast_config(path) -> tuple[BroadcastSource, SpecMode | None]:
-    with open(path, encoding="utf-8") as f:
-        return source_from_dict(json.load(f))
+    return source_from_dict(_load_json(path))

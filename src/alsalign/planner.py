@@ -7,12 +7,11 @@ zone width <= 2*tolerance, so every covered seat stays within the bound.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .acoustics import Venue, _read, delay_map, propagation_delay_ms
+from .acoustics import Venue, _load_json, _read, delay_map, propagation_delay_ms
 from .perception import DistortionClass, classify_residual
 
 __all__ = [
@@ -225,5 +224,4 @@ def plan_from_dict(data: dict) -> DelayPlan:
 
 
 def load_plan(path) -> DelayPlan:
-    with open(path, encoding="utf-8") as f:
-        return plan_from_dict(json.load(f))
+    return plan_from_dict(_load_json(path))

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -415,7 +416,7 @@ def adversarial_mismatches(monkeypatch, n, max_lag, f):
     return mismatches
 
 
-@pytest.mark.parametrize(("n", "max_lag", "size"), [(100, 50, 162), (200, 100, 324), (300, 200, 512), (2000, 600, 2916)])
+@pytest.mark.parametrize(("n", "max_lag", "size"), [(100, 50, 150), (200, 100, 300), (300, 200, 500), (2000, 600, 2700)])
 def test_search_exact_when_fft_errs_against_the_winner(monkeypatch, n, max_lag, size):
     # Within the radius (f < 1) no FFT error may change the result. Below
     # size 576 the radius does not cover the FFT's rounding, so no lag takes
@@ -425,6 +426,53 @@ def test_search_exact_when_fft_errs_against_the_winner(monkeypatch, n, max_lag, 
     for f in (0.5, 0.99):
         assert adversarial_mismatches(monkeypatch, n, max_lag, f) == [], f
     assert (adversarial_mismatches(monkeypatch, n, max_lag, 4.0) == []) == (size < 576)
+
+
+def test_fft_size_is_the_next_five_smooth_number():
+    smooth = sorted(
+        2**a * 3**b * 5**c for a in range(28) for b in range(18) for c in range(12) if 2**a * 3**b * 5**c <= 2**27
+    )
+    min_sizes = [*range(1, 30_001), *range(2**26 - 2_000, 2**26 + 2_001)]
+    expected = [smooth[bisect.bisect_left(smooth, k)] for k in min_sizes]
+    assert [autoconnect._fft_size(k) for k in min_sizes] == expected
+
+
+def _margin_case(kind, n, rng):
+    t = np.arange(n) / 8000
+    if kind == "noise":
+        return rng.uniform(-1.0, 1.0, n), rng.uniform(-1.0, 1.0, n)
+    if kind == "tone":
+        return np.sin(2 * np.pi * 440.0 * t), np.sin(2 * np.pi * 440.0 * (t - 0.003))
+    if kind == "impulse":
+        s, m = np.zeros(n), np.zeros(n)
+        s[0], m[n // 7] = 1.0, 1.0
+        return s, m
+    return 1e3 * rng.uniform(-1.0, 1.0, n), 1e-3 * rng.uniform(-1.0, 1.0, n)
+
+
+@pytest.mark.parametrize("kind", ["noise", "tone", "impulse", "scaled-noise"])
+@pytest.mark.parametrize(("n", "max_lag", "size"), [(400, 190, 600), (2048, 320, 2400), (16000, 6400, 22500)])
+def test_fft_estimates_far_inside_the_radius(monkeypatch, kind, n, max_lag, size):
+    # The radius 4 * size * eps * |s| * |m| is a worst-case bound over every
+    # pass of the transforms; on these inputs the FFT's estimates of the
+    # numerators stay within 1/100 of it, near the 576 floor and at the sizes
+    # of both autoconnect workloads.
+    assert autoconnect._fft_size(n + max_lag) == size
+    s, m = _margin_case(kind, n, np.random.default_rng(size))
+    irfft, lines = np.fft.irfft, []
+
+    def recording_irfft(a, size, **kwargs):
+        out = irfft(a, size, **kwargs)
+        lines.append(out[..., : max_lag + 1].copy())
+        return out
+
+    monkeypatch.setattr(np.fft, "irfft", recording_irfft)
+    estimate_alignment_delay(Signal(m, 8000), Signal(s, 8000), max_lag * 1000.0 / 8000)
+    monkeypatch.undo()
+    (estimates,) = lines
+    exact = [pairwise_dot(s[: n - lag], m[lag:]) for lag in range(max_lag + 1)]
+    radius = 4 * size * autoconnect._EPS * np.linalg.norm(s) * np.linalg.norm(m)
+    assert np.max(np.abs(estimates[0] - exact)) < radius / 100
 
 
 def score_at_lag(mic, stream, lag):

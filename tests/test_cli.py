@@ -514,6 +514,25 @@ class TestInputErrorMessages:
         assert main(argv_for(str(path), tmp_path)) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    @pytest.mark.parametrize(
+        "what, text, key",
+        [
+            (
+                "venue file",
+                '{"loudspeakers": [{"x_m": 0, "y_m": 0}], "seats": [], "seats": [{"id": "A", "x_m": 3, "y_m": 4}]}',
+                "seats",
+            ),
+            ("plan file", '{"tolerance_ms": 5, ' + json.dumps(plan_to_dict(plan_zones(100.0, 30.0)))[1:], "tolerance_ms"),
+            ("broadcast config", '{"streams": [{"id": "S", "sample_rate_hz": 16000, "id": "T"}]}', "id"),
+        ],
+    )
+    def test_repeated_key(self, tmp_path, capsys, what, text, key):
+        # json.load alone keeps the last of two equal keys, and each file would then load
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        assert main(INPUT_FILES[what][0](str(path), tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: bad {what} {path}: duplicate key {key!r}\n"
+
     @pytest.mark.parametrize("key, value", [("index", 1.9), ("sample_rate_hz", 16000.9), ("channels", 2.7)])
     def test_fractional_int_value(self, tmp_path, capsys, key, value):
         # an int field rejects a number with a fractional part rather than cut it off

@@ -2,11 +2,14 @@
 
 bench/golden/ holds the stdout and the output file of each invocation, as
 the benchmark checks them; this test only reads that directory. Each
-invocation runs both in-process and as a fresh `python -m alsalign` process.
+invocation runs in-process, as a fresh `python -m alsalign` process, and
+as a fresh process with numpy's SIMD kernels held to the x86-64-v2
+baseline, so that the bytes do not depend on which kernels numpy picks.
 """
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from alsalign.cli import main
@@ -38,14 +41,23 @@ QUICK_START = {
     "validate": (["validate", "--config", str(REPO / "demo" / "broadcast.json"), "--mode", "strict"], None, 1),
 }
 
+# numpy's dispatched x86 targets above its X86_V2 baseline
+ABOVE_BASELINE = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
+CPU_FEATURES = getattr(np._core._multiarray_umath, "__cpu_features__", {})
 
-@pytest.fixture(params=["in-process", "python-m"])
+
+@pytest.fixture(params=["in-process", "python-m", "python-m-baseline-simd"])
 def run(request, tmp_path, monkeypatch, capsys, fresh_process):
     """Run an argv from an empty directory; return (exit code, stdout, stderr) as bytes."""
     monkeypatch.chdir(tmp_path)
+    env = None
+    if request.param == "python-m-baseline-simd":
+        if not any(CPU_FEATURES.get(feature) for feature in ABOVE_BASELINE):
+            pytest.skip("numpy runs none of its SIMD targets above the baseline here")
+        env = {"NPY_DISABLE_CPU_FEATURES": " ".join(ABOVE_BASELINE)}
 
     def python_m(argv):  # the entry the benchmark spawns
-        done = fresh_process("-m", "alsalign", *argv)
+        done = fresh_process("-m", "alsalign", *argv, env=env)
         return done.returncode, done.stdout, done.stderr
 
     def in_process(argv):
@@ -53,7 +65,7 @@ def run(request, tmp_path, monkeypatch, capsys, fresh_process):
         captured = capsys.readouterr()
         return exit_code, captured.out.encode(), captured.err.encode()
 
-    return python_m if request.param == "python-m" else in_process
+    return in_process if request.param == "in-process" else python_m
 
 
 @pytest.mark.parametrize("sub", list(QUICK_START))
