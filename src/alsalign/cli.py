@@ -9,15 +9,16 @@ result (no match, validation failure), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-import wave
-from decimal import ROUND_CEILING, Decimal
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import acoustics, autoconnect, broadcast, perception, planner, signals
+# each subcommand imports the library modules it runs, so a fresh process
+# loads only those; `import alsalign` itself loads none
+if TYPE_CHECKING:
+    from .signals import Signal
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -43,6 +44,8 @@ def _ceil6(x: float) -> float:
     """Round up at the 6th significant digit (never below the true value)."""
     if x == 0:
         return 0.0
+    from decimal import ROUND_CEILING, Decimal
+
     d = Decimal(x)
     quantum = Decimal(1).scaleb(d.adjusted() - 5)
     return float(d.quantize(quantum, rounding=ROUND_CEILING))
@@ -84,8 +87,10 @@ def _load(loader, path, what: str):
         raise CliError(f"bad {what} {path}: {exc}") from None
 
 
-def parse_signal_source(spec: str) -> signals.Signal:
+def parse_signal_source(spec: str) -> Signal:
     """Signal from a synthetic URI (noise:seed:ms:sr, sine:hz:ms:sr) or a WAV path."""
+    from . import signals
+
     head, _, rest = spec.partition(":")
     if head in ("noise", "sine"):
         parts = rest.split(":")
@@ -99,6 +104,8 @@ def parse_signal_source(spec: str) -> signals.Signal:
             return signals.gen_sine(freq, dur, sr)
         except ValueError as exc:
             raise CliError(f"bad synthetic signal spec {spec!r}: {exc}") from None
+    import wave
+
     try:
         return signals.read_wav(spec)
     except FileNotFoundError:
@@ -108,6 +115,8 @@ def parse_signal_source(spec: str) -> signals.Signal:
 
 
 def run_plan(args: argparse.Namespace) -> int:
+    from . import acoustics, planner
+
     venue = _load(acoustics.load_venue, args.venue, "venue file")
     max_distance = max((venue.nearest_loudspeaker_distance_m(s.position) for s in venue.seats), default=0.0)
     plan = planner.plan_zones(max_distance, args.tolerance_ms, venue.speed_of_sound_m_per_s)
@@ -127,6 +136,10 @@ MAP_HEADER = ("seat_id", "distance_m", "acoustic_delay_ms", "zone", "presentatio
 
 
 def run_map(args: argparse.Namespace) -> int:
+    import csv
+
+    from . import acoustics, planner
+
     venue = _load(acoustics.load_venue, args.venue, "venue file")
     plan = _load(planner.load_plan, args.plan, "plan file")
     report = planner.verify_plan(venue, plan)
@@ -150,6 +163,8 @@ def run_map(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
+    from . import acoustics, perception, planner, signals
+
     venue = _load(acoustics.load_venue, args.venue, "venue file")
     try:
         delay = acoustics.seat_acoustic_delay_ms(venue, args.seat)
@@ -186,6 +201,8 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 
 def run_autoconnect(args: argparse.Namespace) -> int:
+    from . import autoconnect, broadcast, signals
+
     if not args.stream:
         raise CliError("autoconnect needs at least one --stream ID=SOURCE")
     mode = broadcast.SpecMode(args.mode)
@@ -241,6 +258,8 @@ def run_autoconnect(args: argparse.Namespace) -> int:
 
 
 def run_validate(args: argparse.Namespace) -> int:
+    from . import broadcast
+
     source, file_mode = _load(broadcast.load_broadcast_config, args.config, "broadcast config")
     if args.mode is not None:
         mode = broadcast.SpecMode(args.mode)
@@ -257,6 +276,27 @@ def run_validate(args: argparse.Namespace) -> int:
         print("ok")
     print(f"airtime occupancy: {fmt(occupancy)}")
     return EXIT_OK if not violations else EXIT_NEGATIVE
+
+
+class _StoreThreshold(argparse.Action):
+    """Stores --threshold, whose default is autoconnect.DEFAULT_THRESHOLD.
+
+    The default is read only when the autoconnect arguments are parsed,
+    so that the other subcommands never import autoconnect.
+    """
+
+    @property
+    def default(self):
+        from .autoconnect import DEFAULT_THRESHOLD
+
+        return DEFAULT_THRESHOLD
+
+    @default.setter
+    def default(self, value):
+        pass  # argparse.Action.__init__ assigns None
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate stream (repeatable)",
     )
     p.add_argument("--max-lag-ms", type=float, default=500.0)
-    p.add_argument("--threshold", type=float, default=autoconnect.DEFAULT_THRESHOLD)
+    p.add_argument("--threshold", type=float, action=_StoreThreshold)
     p.add_argument("--mode", choices=["strict", "amended"], default="amended")
     p.add_argument("--snr-db", type=float, default=None, help="degrade the mic with noise at this SNR")
     p.add_argument("--seed", type=int, default=0, help="seed for --snr-db noise")

@@ -11,8 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .signals import Signal, delay_signal, mix
+# signals is imported by the first ear signal, so that planning and
+# classification alone never load it
+if TYPE_CHECKING:
+    from .signals import Signal
 
 __all__ = [
     "DistortionClass",
@@ -88,6 +92,8 @@ def notch_frequencies(delay_ms: float, max_freq_hz: float) -> list[float]:
     """All comb notches (2k+1)*1000/(2*delay_ms) up to max_freq_hz, ascending."""
     if not 0 <= delay_ms < math.inf:
         raise ValueError(f"delay_ms must be >= 0, got {delay_ms}")
+    if math.isnan(max_freq_hz):
+        raise ValueError(f"max_freq_hz must not be NaN, got {max_freq_hz}")
     if delay_ms == 0:
         return []
     if not delay_ms * max_freq_hz / 1000.0 <= _MAX_NOTCHES:
@@ -116,6 +122,8 @@ def ear_signal(broadcast: Signal, acoustic: Signal, residual_ms: float, spec: Mi
         raise ValueError(
             f"mismatched sample rates: {broadcast.sample_rate_hz} vs {acoustic.sample_rate_hz}"
         )
+    from .signals import delay_signal, mix
+
     if residual_ms >= 0:
         acoustic = delay_signal(acoustic, residual_ms)
     else:

@@ -8,7 +8,6 @@ repeated calls are bit-identical.
 from __future__ import annotations
 
 import math
-import wave
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -33,9 +32,12 @@ __all__ = [
 _MAX_SAMPLES = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
-    """Uniformly sampled mono audio, nominal amplitude range [-1, 1]."""
+    """Uniformly sampled mono audio, nominal amplitude range [-1, 1].
+
+    A Signal compares and hashes by identity, as the handle of its array.
+    """
 
     samples: np.ndarray = field(repr=False)
     sample_rate_hz: int
@@ -149,6 +151,9 @@ def mix(parts: list[tuple[Signal, float]]) -> Signal:
     """Sample-wise weighted sum; shorter parts are zero-extended."""
     if not parts:
         raise ValueError("mix requires at least one (signal, gain) part")
+    for i, (_, gain) in enumerate(parts):
+        if not math.isfinite(gain):
+            raise ValueError(f"gain of part {i} must be finite, got {gain}")
     rates = {sig.sample_rate_hz for sig, _ in parts}
     if len(rates) != 1:
         raise ValueError(f"mismatched sample rates: {sorted(rates)}")
@@ -156,8 +161,10 @@ def mix(parts: list[tuple[Signal, float]]) -> Signal:
 
     n = max(len(sig) for sig, _ in parts)
     out = np.zeros(n)
-    for sig, gain in parts:
-        out[: len(sig)] += gain * sig.samples
+    # a sum that overflows is rejected below, as samples that are not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sig, gain in parts:
+            out[: len(sig)] += gain * sig.samples
     return Signal(out, rates.pop())
 
 
@@ -186,6 +193,8 @@ def add_noise_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
 
 def write_wav(sig: Signal, path) -> None:
     """16-bit PCM mono RIFF; amplitudes map linearly to [-1, 1)."""
+    import wave
+
     import numpy as np
 
     pcm = np.clip(np.round(sig.samples * 32768.0), -32768, 32767).astype("<i2")
@@ -198,6 +207,8 @@ def write_wav(sig: Signal, path) -> None:
 
 def read_wav(path) -> Signal:
     """Read a 16-bit PCM mono WAV written by write_wav (or equivalent)."""
+    import wave
+
     import numpy as np
 
     with wave.open(str(path), "rb") as w:

@@ -60,6 +60,12 @@ class TestSeatAcousticDelay:
         # both speakers are 5 m away
         assert seat_acoustic_delay_ms(venue, "A1") == pytest.approx(5000.0 / 343.0)
 
+    def test_distance_is_euclidean(self):
+        speaker, seat = Position(3.0, 4.0), Position(6.0, 8.0)
+        assert speaker.distance_to(seat) == seat.distance_to(speaker) == 5.0
+        venue = Venue(loudspeakers=(speaker,), seats=(Seat("A1", seat),))
+        assert seat_acoustic_delay_ms(venue, "A1") == pytest.approx(5000.0 / 343.0)
+
     def test_first_arrival_wins(self):
         venue = Venue(
             loudspeakers=(Position(0.0, 5.0), Position(0.0, 20.0)),

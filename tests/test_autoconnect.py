@@ -614,6 +614,13 @@ class TestSelectStream:
             with pytest.raises(ValueError):
                 select_stream(mic, cands, 10.0, threshold)
 
+    def test_candidates_compare_and_hash(self):
+        a = CandidateStream("x", gen_white_noise(1, 10, 8000))
+        b = CandidateStream("x", gen_white_noise(1, 10, 8000))
+        assert a != b  # equal samples, but two signals
+        assert a == CandidateStream("x", a.signal)
+        assert len({a, b}) == 2
+
     def test_duplicate_ids_rejected(self):
         sig = gen_white_noise(1, 100, 8000)
         with pytest.raises(ValueError):

@@ -49,6 +49,11 @@ class TestValidateConfig:
         assert v.rule == "multi-train-per-stream"
         assert set(v.offending_ids) == {"s1", "t1", "t2", "t3"}
 
+    def test_strict_rejects_two_trains_on_one_stream(self):
+        source = BroadcastSource(streams=(stream(),), trains=(train("t1"), train("t2")))
+        violations = validate_config(source, SpecMode.STRICT)
+        assert [v.offending_ids for v in violations] == [("s1", "t1", "t2")]
+
     def test_amended_accepts_shared_stream(self):
         assert validate_config(one_stream_three_trains(), SpecMode.AMENDED) == []
 

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import alsalign
-from alsalign.cli import build_parser, main
+from alsalign.cli import build_parser, main, parse_signal_source
 from alsalign.planner import plan_to_dict, plan_zones
-from alsalign.signals import add_noise_snr, delay_signal, gen_white_noise, write_wav
+from alsalign.signals import add_noise_snr, delay_signal, gen_sine, gen_white_noise, write_wav
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO_VENUE = REPO / "demo" / "venue.json"
@@ -75,6 +75,14 @@ class TestPlanCommand:
         plan = json.loads(out.read_text())
         assert len(plan["zones"]) == 1
         assert plan["zones"][0]["presentation_delay_ms"] == 0.0
+
+    def test_venue_without_seats_spans_nothing(self, tmp_path, capsys):
+        venue = tmp_path / "venue.json"
+        venue.write_text(json.dumps({"loudspeakers": [{"x_m": 0, "y_m": 0}]}))
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--venue", str(venue), "--out", str(out)]) == 0
+        assert "max residual bound: 0 ms" in capsys.readouterr().out
+        assert json.loads(out.read_text())["zones"][-1]["delay_hi_ms"] == 0.0
 
     def test_malformed_venue_names_offending_key(self, tmp_path, capsys):
         venue = tmp_path / "venue.json"
@@ -388,6 +396,11 @@ class TestAutoconnectCommand:
             ]
         )
         assert rc == 2
+
+    def test_sine_source_fields_are_hz_ms_rate(self):
+        sig = parse_signal_source("sine:100:250:8000")
+        assert sig.sample_rate_hz == 8000
+        assert sig.samples.tolist() == gen_sine(100.0, 250.0, 8000).samples.tolist()
 
     def test_sine_source_spec(self, tmp_path):
         out = tmp_path / "sel.json"
@@ -988,8 +1001,9 @@ def _fresh_numpy_loaded(fresh_python, code: str, *args: str, cwd=None) -> tuple[
 
 
 def test_exports_name_existing_public_names():
-    # every name in a module's __all__ exists, and the package's public names,
-    # apart from its submodules, are exactly the names of those lists
+    # every name in a module's __all__ exists, the package's public names,
+    # apart from its submodules, are exactly the names of those lists, and
+    # each is the module's own object
     public = set()
     submodules = set()
     for info in pkgutil.iter_modules(alsalign.__path__):
@@ -997,8 +1011,9 @@ def test_exports_name_existing_public_names():
         module = importlib.import_module(f"alsalign.{info.name}")
         for name in getattr(module, "__all__", ()):
             assert hasattr(module, name), f"alsalign.{info.name}.__all__ lists missing {name}"
+            assert getattr(alsalign, name) is getattr(module, name), name
             public.add(name)
-    exported = {name for name in vars(alsalign) if not name.startswith("_")} - submodules
+    exported = {name for name in dir(alsalign) if not name.startswith("_")} - submodules
     assert exported == public, (sorted(exported - public), sorted(public - exported))
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +57,13 @@ class TestCombFilterMagnitude:
     def test_first_peak(self):
         assert comb_filter_magnitude(1.0, 1.0, 1000.0) == pytest.approx(2.0, abs=1e-9)
 
+    def test_between_peak_and_notch(self):
+        # a sixth of the 1 kHz period: cos = 1/2, so |H| = sqrt(1 + g^2 + g)
+        assert comb_filter_magnitude(1.0, 0.5, 1000.0 / 6) == pytest.approx(math.sqrt(1.75), abs=1e-12)
+
+    def test_zero_delay_adds_in_phase(self):
+        assert comb_filter_magnitude(0.0, 0.5, 1234.0) == 1.5
+
     def test_zero_gain_is_flat(self):
         for f in (0.0, 123.4, 9999.0):
             assert comb_filter_magnitude(2.5, 0.0, f) == 1.0
@@ -84,8 +93,15 @@ class TestNotchFrequencies:
     def test_zero_delay(self):
         assert notch_frequencies(0.0, 8000.0) == []
 
+    def test_notch_at_max_freq_included(self):
+        assert notch_frequencies(1.0, 3500.0) == [500.0, 1500.0, 2500.0, 3500.0]
+
     def test_10ms_below_200(self):
         assert notch_frequencies(10.0, 200.0) == [50.0, 150.0]
+
+    def test_nan_max_freq_named(self):
+        with pytest.raises(ValueError, match=r"^max_freq_hz must not be NaN, got nan$"):
+            notch_frequencies(1.0, float("nan"))
 
     def test_ascending(self):
         notches = notch_frequencies(3.7, 20000.0)
@@ -106,6 +122,12 @@ class TestEarSignal:
         out = ear_signal(b, a, 2.0, MixSpec(0.0, 1.0))
         assert np.array_equal(out.samples, delay_signal(a, 2.0).samples)
 
+    def test_sub_millisecond_residual_delays_acoustic(self):
+        b = gen_white_noise(1, 20, 16000)
+        a = gen_white_noise(2, 20, 16000)
+        out = ear_signal(b, a, 0.5, MixSpec(0.0, 1.0))
+        assert np.array_equal(out.samples, delay_signal(a, 0.5).samples)
+
     def test_negative_residual_delays_broadcast(self):
         b = gen_white_noise(1, 20, 16000)
         a = gen_white_noise(2, 20, 16000)
@@ -122,6 +144,9 @@ class TestEarSignal:
     def test_mismatched_rates_rejected(self):
         with pytest.raises(ValueError):
             ear_signal(gen_sine(100, 10, 8000), gen_sine(100, 10, 16000), 0.0, MixSpec())
+
+    def test_gains_default_to_one(self):
+        assert MixSpec() == MixSpec(1.0, 1.0)
 
     def test_negative_gain_rejected(self):
         with pytest.raises(ValueError, match=r"^broadcast_gain must be >= 0, got -0\.1$"):

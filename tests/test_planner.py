@@ -160,6 +160,14 @@ class TestVerifyPlan:
         assert report.seats[0].residual_ms == pytest.approx(0.0, abs=1e-9)
         assert report.seats[0].distortion is DistortionClass.ALIGNED
 
+    def test_max_residual_below_1ms(self):
+        plan = plan_zones(60.96, 30.0, 343.0)
+        mid = plan.zones[1].presentation_delay_ms * 343.0 / 1000.0
+        seats = (Seat("A", Position(0.0, mid + 0.1)), Seat("B", Position(0.0, mid - 0.05)))
+        report = verify_plan(Venue((Position(0.0, 0.0),), seats), plan)
+        assert report.max_abs_residual_ms == max(abs(s.residual_ms) for s in report.seats)
+        assert report.max_abs_residual_ms == pytest.approx(100.0 / 343.0)
+
     def test_seat_beyond_span_is_flagged(self):
         plan = plan_zones(60.96, 30.0, 343.0)
         venue = Venue((Position(0.0, 0.0),), (Seat("FAR", Position(0.0, 100.0)),))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -50,6 +52,9 @@ class TestGenSine:
 
     def test_length(self):
         assert len(gen_sine(440.0, 100, 16000)) == 1600
+
+    def test_amplitude_defaults_to_one(self):
+        assert gen_sine(1000.0, 10, 16000).samples[4] == pytest.approx(1.0, abs=1e-12)
 
     def test_nyquist_rejected(self):
         with pytest.raises(ValueError):
@@ -144,6 +149,18 @@ class TestMix:
         with pytest.raises(ValueError):
             mix([])
 
+    def test_nonfinite_gain_named(self):
+        sig = gen_white_noise(5, 20, 8000)
+        with pytest.raises(ValueError, match=r"^gain of part 1 must be finite, got nan$"):
+            mix([(sig, 1.0), (sig, float("nan"))])
+
+    def test_overflowing_sum_is_a_value_error_without_warning(self):
+        tone = gen_sine(1000.0, 10, 16000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^samples must be finite, got inf at index 3$"):
+                mix([(tone, 1e308), (tone, 1e308)])
+
 
 class TestAddNoiseSnr:
     def test_zero_db_power_ratio(self):
@@ -214,6 +231,12 @@ class TestSignalType:
 
     def test_duration(self):
         assert gen_white_noise(1, 250, 8000).duration_ms == 250.0
+
+    def test_compares_and_hashes_by_identity(self):
+        a, b = Signal(np.zeros(3), 16000), Signal(np.zeros(3), 16000)
+        assert a == a
+        assert a != b
+        assert len({a, b, a}) == 2
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
