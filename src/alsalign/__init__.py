@@ -6,58 +6,38 @@ planner (delay zones), broadcast (control-plane rules), autoconnect
 (stream selection by cross-correlation), cli. Every name in a
 submodule's __all__ is also a name of the package.
 
-Importing the package loads no submodule. A submodule, or a public name,
-loads its module on first access (PEP 562), so each CLI subcommand pays
-only for the modules it runs.
+Importing the package loads no submodule (PEP 562). A submodule name
+loads that module; the first other public name, or ``__all__``, loads
+the seven library modules and binds all their public names here.
 """
 
 from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# each submodule's __all__, restated so that no lookup has to import them all
-_EXPORTS = {
-    "acoustics": (
-        "SPEED_OF_SOUND_M_PER_S", "Position", "Seat", "Venue", "SeatDelay", "propagation_delay_ms",
-        "seat_acoustic_delay_ms", "delay_map", "venue_from_dict", "load_venue",
-    ),
-    "autoconnect": (
-        "CandidateStream", "SelectionResult", "estimate_alignment_delay", "select_stream",
-        "autoconnect_pipeline", "DEFAULT_THRESHOLD",
-    ),
-    "broadcast": (
-        "SpecMode", "TransportKind", "AudioStreamDescriptor", "AdvertisingTrain", "BroadcastSource",
-        "BroadcastSink", "Violation", "SinkDelayError", "BufferExceededError", "ParameterUnsupportedError",
-        "STRICT_PRESENTATION_DELAY_CAP_MS", "AMENDED_MIN_BUFFER_MS", "default_sink", "validate_config",
-        "sink_apply_delays", "transport_propagation_delay_ms", "end_to_end_residual_ms",
-        "airtime_occupancy", "source_from_dict", "load_broadcast_config",
-    ),
-    "perception": (
-        "DistortionClass", "MixSpec", "classify_residual", "comb_filter_magnitude", "notch_frequencies",
-        "ear_signal",
-    ),
-    "planner": (
-        "Zone", "DelayPlan", "UncoveredDelayError", "plan_zones", "zone_for_delay", "residual_delay_ms",
-        "verify_plan", "SeatAssignment", "PlanVerification", "plan_to_dict", "plan_from_dict", "load_plan",
-    ),
-    "prng": ("SplitMix64",),
-    "signals": (
-        "Signal", "gen_white_noise", "gen_sine", "delay_signal", "mix", "add_noise_snr", "read_wav",
-        "write_wav",
-    ),
-}
-_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_LIBRARY = ("acoustics", "autoconnect", "broadcast", "perception", "planner", "prng", "signals")
+_SUBMODULES = frozenset((*_LIBRARY, "cli"))
 
-__all__ = [*_EXPORTS, *_OWNER]
+
+def _bind_public_names() -> None:
+    names = list(_LIBRARY)
+    for module_name in _LIBRARY:
+        module = _import_module(f"{__name__}.{module_name}")
+        names.extend(module.__all__)
+        globals().update({name: getattr(module, name) for name in module.__all__})
+    globals()["__all__"] = names
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
+    if name in _SUBMODULES:
         return _import_module(f"{__name__}.{name}")
-    if name in _OWNER:
-        return getattr(_import_module(f"{__name__}.{_OWNER[name]}"), name)
+    if name == "__all__" or not name.startswith("__"):
+        _bind_public_names()
+        if name in globals():
+            return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *__all__})
+    _bind_public_names()
+    return sorted(globals())

@@ -13,12 +13,12 @@ import io
 import json
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
-# each subcommand imports the library modules it runs, so a fresh process
-# loads only those; `import alsalign` itself loads none
-if TYPE_CHECKING:
-    from .signals import Signal
+# Every layer module is loaded here, not per subcommand: bench/spans.py
+# patches only the alsalign namespaces loaded before its tracing() starts,
+# so a traced CLI process must have them all by then.  decimal, csv and
+# wave, which only some subcommands use, are imported where they are used.
+from . import acoustics, autoconnect, broadcast, perception, planner, signals
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -87,10 +87,8 @@ def _load(loader, path, what: str):
         raise CliError(f"bad {what} {path}: {exc}") from None
 
 
-def parse_signal_source(spec: str) -> Signal:
+def parse_signal_source(spec: str) -> signals.Signal:
     """Signal from a synthetic URI (noise:seed:ms:sr, sine:hz:ms:sr) or a WAV path."""
-    from . import signals
-
     head, _, rest = spec.partition(":")
     if head in ("noise", "sine"):
         parts = rest.split(":")
@@ -115,8 +113,6 @@ def parse_signal_source(spec: str) -> Signal:
 
 
 def run_plan(args: argparse.Namespace) -> int:
-    from . import acoustics, planner
-
     venue = _load(acoustics.load_venue, args.venue, "venue file")
     max_distance = max((venue.nearest_loudspeaker_distance_m(s.position) for s in venue.seats), default=0.0)
     plan = planner.plan_zones(max_distance, args.tolerance_ms, venue.speed_of_sound_m_per_s)
@@ -137,8 +133,6 @@ MAP_HEADER = ("seat_id", "distance_m", "acoustic_delay_ms", "zone", "presentatio
 
 def run_map(args: argparse.Namespace) -> int:
     import csv
-
-    from . import acoustics, planner
 
     venue = _load(acoustics.load_venue, args.venue, "venue file")
     plan = _load(planner.load_plan, args.plan, "plan file")
@@ -163,8 +157,6 @@ def run_map(args: argparse.Namespace) -> int:
 
 
 def run_simulate(args: argparse.Namespace) -> int:
-    from . import acoustics, perception, planner, signals
-
     venue = _load(acoustics.load_venue, args.venue, "venue file")
     try:
         delay = acoustics.seat_acoustic_delay_ms(venue, args.seat)
@@ -201,8 +193,6 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 
 def run_autoconnect(args: argparse.Namespace) -> int:
-    from . import autoconnect, broadcast, signals
-
     if not args.stream:
         raise CliError("autoconnect needs at least one --stream ID=SOURCE")
     mode = broadcast.SpecMode(args.mode)
@@ -258,8 +248,6 @@ def run_autoconnect(args: argparse.Namespace) -> int:
 
 
 def run_validate(args: argparse.Namespace) -> int:
-    from . import broadcast
-
     source, file_mode = _load(broadcast.load_broadcast_config, args.config, "broadcast config")
     if args.mode is not None:
         mode = broadcast.SpecMode(args.mode)
@@ -276,27 +264,6 @@ def run_validate(args: argparse.Namespace) -> int:
         print("ok")
     print(f"airtime occupancy: {fmt(occupancy)}")
     return EXIT_OK if not violations else EXIT_NEGATIVE
-
-
-class _StoreThreshold(argparse.Action):
-    """Stores --threshold, whose default is autoconnect.DEFAULT_THRESHOLD.
-
-    The default is read only when the autoconnect arguments are parsed,
-    so that the other subcommands never import autoconnect.
-    """
-
-    @property
-    def default(self):
-        from .autoconnect import DEFAULT_THRESHOLD
-
-        return DEFAULT_THRESHOLD
-
-    @default.setter
-    def default(self, value):
-        pass  # argparse.Action.__init__ assigns None
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="candidate stream (repeatable)",
     )
     p.add_argument("--max-lag-ms", type=float, default=500.0)
-    p.add_argument("--threshold", type=float, action=_StoreThreshold)
+    p.add_argument("--threshold", type=float, default=autoconnect.DEFAULT_THRESHOLD)
     p.add_argument("--mode", choices=["strict", "amended"], default="amended")
     p.add_argument("--snr-db", type=float, default=None, help="degrade the mic with noise at this SNR")
     p.add_argument("--seed", type=int, default=0, help="seed for --snr-db noise")

@@ -1,5 +1,6 @@
-"""What a fresh process loads: the package itself loads no submodule, and
-each quick-start subcommand loads only the modules it runs."""
+"""What a fresh process loads: the package itself loads no submodule, a
+CLI process loads every layer module, and decimal, csv and wave load only
+in the subcommands that use them."""
 
 import ast
 import contextlib
@@ -17,6 +18,9 @@ DEMO_BROADCAST = REPO / "demo" / "broadcast.json"
 
 # the last stdout line lists the alsalign submodules the code loaded
 LOADED = "print(sorted(m.partition('.')[2] for m in sys.modules if m.startswith('alsalign.')))\n"
+# ... and the line before it the deferred standard modules it loaded
+DEFERRED = "print(sorted({'csv', 'decimal', 'wave'} & set(sys.modules)))\n"
+LIBRARY = {"acoustics", "autoconnect", "broadcast", "perception", "planner", "prng", "signals"}
 
 # run the entry as `python -m alsalign` does
 RUN_ENTRY = (
@@ -25,16 +29,21 @@ RUN_ENTRY = (
     "    runpy.run_module('alsalign', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
+    + DEFERRED
     + LOADED
     + "sys.exit(code)\n"
 )
 
 
-def _loaded(fresh_python, code: str, *args: str, cwd=None, exit_code=0) -> set[str]:
+def _printed_sets(fresh_python, code: str, *args: str, cwd=None, exit_code=0) -> list[set[str]]:
     done = fresh_python(code, *args, cwd=cwd)
     assert done.stderr == "", done.stderr
     assert done.returncode == exit_code
-    return set(ast.literal_eval(done.stdout.splitlines()[-1]))
+    return [set(ast.literal_eval(line)) for line in done.stdout.splitlines()[-2:]]
+
+
+def _loaded(fresh_python, code: str) -> set[str]:
+    return _printed_sets(fresh_python, code)[-1]
 
 
 def test_import_loads_no_submodule(fresh_python):
@@ -50,8 +59,10 @@ def test_dunder_lookup_loads_nothing(fresh_python):
     "name, modules",
     [
         ("signals", {"signals", "prng"}),
-        ("plan_zones", {"planner", "acoustics", "perception"}),
-        ("SpecMode", {"broadcast", "acoustics"}),
+        ("planner", {"planner", "acoustics", "perception"}),
+        ("cli", LIBRARY | {"cli"}),
+        ("plan_zones", LIBRARY),
+        ("__all__", LIBRARY),
     ],
 )
 def test_name_loads_its_module(fresh_python, name, modules):
@@ -66,19 +77,22 @@ def test_star_import_binds_every_public_name(fresh_python):
     assert len(bound) == 70
 
 
-PLAN_SET = {"cli", "acoustics", "planner", "perception"}
+def test_one_lookup_binds_every_public_name(fresh_python):
+    code = "import alsalign\nalsalign.plan_zones\nprint(sorted(k for k in vars(alsalign) if not k.startswith('_')))\n"
+    done = fresh_python(code, check=True)
+    assert set(ast.literal_eval(done.stdout.splitlines()[-1])) == set(alsalign.__all__)
 
 
 @pytest.mark.parametrize(
-    "argv, exit_code, modules",
+    "argv, exit_code, deferred",
     [
-        (["plan", "--venue", str(DEMO_VENUE), "--out", "plan.json"], 0, PLAN_SET),
-        (["map", "--venue", str(DEMO_VENUE), "--plan", "demo-plan.json", "--out", "map.csv"], 0, PLAN_SET),
-        (["validate", "--config", str(DEMO_BROADCAST), "--mode", "strict"], 1, {"cli", "acoustics", "broadcast"}),
+        (["plan", "--venue", str(DEMO_VENUE), "--out", "plan.json"], 0, {"decimal"}),
+        (["map", "--venue", str(DEMO_VENUE), "--plan", "demo-plan.json", "--out", "map.csv"], 0, {"csv"}),
+        (["validate", "--config", str(DEMO_BROADCAST), "--mode", "strict"], 1, set()),
         (
             ["simulate", "--venue", str(DEMO_VENUE), "--plan", "demo-plan.json", "--seat", "K1", "--out", "r.json"],
             0,
-            PLAN_SET | {"signals", "prng"},
+            set(),
         ),
         (
             [
@@ -88,12 +102,14 @@ PLAN_SET = {"cli", "acoustics", "planner", "perception"}
                 "--max-lag-ms", "400", "--out", "selection.json",
             ],
             0,
-            {"cli", "autoconnect", "broadcast", "acoustics", "signals", "prng"},
+            set(),
         ),
     ],
     ids=lambda v: v[0] if isinstance(v, list) else None,
 )
-def test_subcommand_loads_only_its_modules(fresh_python, tmp_path, argv, exit_code, modules):
+def test_subcommand_loads_every_layer_and_only_its_deferred_modules(fresh_python, tmp_path, argv, exit_code, deferred):
     with contextlib.redirect_stdout(io.StringIO()):
         main(["plan", "--venue", str(DEMO_VENUE), "--out", str(tmp_path / "demo-plan.json")])
-    assert _loaded(fresh_python, RUN_ENTRY, *argv, cwd=tmp_path, exit_code=exit_code) == modules
+    loaded_deferred, loaded = _printed_sets(fresh_python, RUN_ENTRY, *argv, cwd=tmp_path, exit_code=exit_code)
+    assert loaded == LIBRARY | {"cli"}
+    assert loaded_deferred == deferred
