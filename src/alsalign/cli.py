@@ -27,10 +27,6 @@ EXIT_ERROR = 2
 SIMULATE_PROGRAM_MS = 1000.0
 
 
-class CliError(Exception):
-    """Usage or input error; message goes to stderr, exit code 2."""
-
-
 def fmt(x: float) -> str:
     """Fixed 6-significant-digit rendering used for every emitted number."""
     return format(float(x), ".6g")
@@ -66,7 +62,7 @@ def _write(path, text: str) -> None:
     try:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _write_json(path, payload: dict) -> None:
@@ -74,17 +70,17 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _load(loader, path, what: str):
-    """Run a JSON file loader, turning every input fault into a CliError naming the file."""
+    """Run a JSON file loader, turning every input fault into a ValueError naming the file."""
     try:
         return loader(path)
     except FileNotFoundError:
-        raise CliError(f"{what} not found: {path}") from None
+        raise ValueError(f"{what} not found: {path}") from None
     except OSError as exc:
-        raise CliError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
+        raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-        raise CliError(f"{what} {path} is not valid JSON: {exc}") from None
+        raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
-        raise CliError(f"bad {what} {path}: {exc}") from None
+        raise ValueError(f"bad {what} {path}: {exc}") from None
 
 
 def parse_signal_source(spec: str) -> signals.Signal:
@@ -93,7 +89,7 @@ def parse_signal_source(spec: str) -> signals.Signal:
     if head in ("noise", "sine"):
         parts = rest.split(":")
         if len(parts) != 3:
-            raise CliError(f"bad synthetic signal spec {spec!r}: expected {head}:<a>:<ms>:<sr>")
+            raise ValueError(f"bad synthetic signal spec {spec!r}: expected {head}:<a>:<ms>:<sr>")
         try:
             if head == "noise":
                 seed, dur, sr = int(parts[0]), float(parts[1]), int(parts[2])
@@ -101,15 +97,15 @@ def parse_signal_source(spec: str) -> signals.Signal:
             freq, dur, sr = float(parts[0]), float(parts[1]), int(parts[2])
             return signals.gen_sine(freq, dur, sr)
         except ValueError as exc:
-            raise CliError(f"bad synthetic signal spec {spec!r}: {exc}") from None
+            raise ValueError(f"bad synthetic signal spec {spec!r}: {exc}") from None
     import wave
 
     try:
         return signals.read_wav(spec)
     except FileNotFoundError:
-        raise CliError(f"signal source not found: {spec}") from None
+        raise ValueError(f"signal source not found: {spec}") from None
     except (wave.Error, ValueError, EOFError, OSError) as exc:
-        raise CliError(f"cannot read WAV {spec!r}: {exc}") from None
+        raise ValueError(f"cannot read WAV {spec!r}: {exc}") from None
 
 
 def run_plan(args: argparse.Namespace) -> int:
@@ -161,7 +157,7 @@ def run_simulate(args: argparse.Namespace) -> int:
     try:
         delay = acoustics.seat_acoustic_delay_ms(venue, args.seat)
     except KeyError as exc:
-        raise CliError(str(exc.args[0])) from None
+        raise ValueError(str(exc.args[0])) from None
     presentation = 0.0  # uncompensated unless a plan zone covers the seat
     uncovered = False
     if args.plan is not None:
@@ -194,7 +190,7 @@ def run_simulate(args: argparse.Namespace) -> int:
 
 def run_autoconnect(args: argparse.Namespace) -> int:
     if not args.stream:
-        raise CliError("autoconnect needs at least one --stream ID=SOURCE")
+        raise ValueError("autoconnect needs at least one --stream ID=SOURCE")
     mode = broadcast.SpecMode(args.mode)
     mic = parse_signal_source(args.mic)
     if args.snr_db is not None:
@@ -203,7 +199,7 @@ def run_autoconnect(args: argparse.Namespace) -> int:
     for item in args.stream:
         stream_id, sep, src = item.partition("=")
         if not sep or not stream_id or not src:
-            raise CliError(f"bad --stream {item!r}: expected <id>=<source>")
+            raise ValueError(f"bad --stream {item!r}: expected <id>=<source>")
         candidates.append(autoconnect.CandidateStream(stream_id, parse_signal_source(src)))
     sink = (
         broadcast.BroadcastSink(args.sink_buffer_ms)
@@ -216,7 +212,7 @@ def run_autoconnect(args: argparse.Namespace) -> int:
             mic, candidates, sink, mode, args.max_lag_ms, args.threshold, args.force_stream
         )
     except KeyError as exc:
-        raise CliError(str(exc.args[0])) from None
+        raise ValueError(str(exc.args[0])) from None
     except broadcast.SinkDelayError as exc:
         payload.update(
             {
@@ -249,12 +245,7 @@ def run_autoconnect(args: argparse.Namespace) -> int:
 
 def run_validate(args: argparse.Namespace) -> int:
     source, file_mode = _load(broadcast.load_broadcast_config, args.config, "broadcast config")
-    if args.mode is not None:
-        mode = broadcast.SpecMode(args.mode)
-    elif file_mode is not None:
-        mode = file_mode
-    else:
-        mode = broadcast.SpecMode.STRICT
+    mode = broadcast.SpecMode(args.mode) if args.mode is not None else file_mode or broadcast.SpecMode.STRICT
     violations = broadcast.validate_config(source, mode)
     occupancy = broadcast.airtime_occupancy(source)
     if violations:
@@ -325,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (CliError, ValueError) as exc:  # the library raises ValueError for every bad input
+    except ValueError as exc:  # every usage or input fault, from the library or from this module
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

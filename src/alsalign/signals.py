@@ -142,8 +142,7 @@ def delay_signal(sig: Signal, delay_ms: float) -> Signal:
 
     n = len(sig)
     out = np.zeros(n)
-    if shift < n:
-        out[shift:] = sig.samples[: n - shift]
+    out[shift:] = sig.samples[: n - shift]
     return _own(out, sig.sample_rate_hz)
 
 

@@ -6,8 +6,8 @@ checklist.
 """
 
 import json
-import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +33,8 @@ from alsalign.perception import DistortionClass, classify_residual, comb_filter_
 from alsalign.planner import plan_zones, residual_delay_ms, zone_for_delay
 from alsalign.signals import Signal, add_noise_snr, delay_signal, gen_white_noise
 
-from test_cli import DEMO_VENUE
+from test_autoconnect import brute_force_search
+from test_golden import QUICK_START
 
 
 def report(criterion: str, ok: bool, detail: str = "") -> None:
@@ -140,21 +141,6 @@ def test_c06_autoconnect_accuracy():
     )
 
 
-def _brute_force_search(mic: Signal, stream: Signal, max_lag: int):
-    """Independent reference: exact python sums at every lag."""
-    n = min(len(mic), len(stream))
-    best_lag, best_val = 0, -math.inf
-    for lag in range(max_lag + 1):
-        sw = [float(v) for v in stream.samples[: n - lag]]
-        mw = [float(v) for v in mic.samples[lag:n]]
-        num = math.fsum(a * b for a, b in zip(sw, mw))
-        denom = math.sqrt(math.fsum(a * a for a in sw)) * math.sqrt(math.fsum(b * b for b in mw))
-        val = 0.0 if denom == 0.0 else num / denom
-        if val > best_val:
-            best_lag, best_val = lag, val
-    return best_lag, best_val
-
-
 def test_c07_oracle_equivalence():
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -164,7 +150,7 @@ def test_c07_oracle_equivalence():
         mic = Signal(rng.uniform(-1.0, 1.0, n), sr)
         stream = Signal(rng.uniform(-1.0, 1.0, n), sr)
         max_lag = int(rng.integers(1, n - 2))
-        ref_lag, ref_peak = _brute_force_search(mic, stream, max_lag)
+        ref_lag, ref_peak = brute_force_search(mic, stream, max_lag)
         lag_ms, peak = estimate_alignment_delay(mic, stream, max_lag * 1000.0 / sr)
         assert round(lag_ms * sr / 1000.0) == ref_lag
         worst = max(worst, abs(peak - ref_peak))
@@ -216,30 +202,15 @@ def test_c09_ultrasound_zero_residual():
     report("C09 ultrasound-zero-residual", exact)
 
 
-def test_c10_cli_determinism(tmp_path):
+def test_c10_cli_determinism(tmp_path, monkeypatch):
+    # the quick-start plan, map and autoconnect, run twice, each time from a new directory
     outputs = []
     for run in ("one", "two"):
-        d = tmp_path / run
-        d.mkdir()
-        plan = d / "plan.json"
-        csv = d / "map.csv"
-        sel = d / "sel.json"
-        assert main(["plan", "--venue", str(DEMO_VENUE), "--tolerance-ms", "30", "--out", str(plan)]) == 0
-        assert main(["map", "--venue", str(DEMO_VENUE), "--plan", str(plan), "--out", str(csv)]) == 0
-        rc = main(
-            [
-                "autoconnect",
-                "--mic", "noise:7:1000:16000",
-                "--snr-db", "0",
-                "--seed", "42",
-                "--stream", "A=noise:7:1000:16000",
-                "--stream", "B=noise:8:1000:16000",
-                "--max-lag-ms", "400",
-                "--out", str(sel),
-            ]
-        )
-        assert rc == 0
-        outputs.append((plan.read_bytes(), csv.read_bytes(), sel.read_bytes()))
+        (tmp_path / run).mkdir()
+        monkeypatch.chdir(tmp_path / run)
+        for sub in ("plan", "map", "autoconnect"):
+            assert main(QUICK_START[sub][0]) == 0
+        outputs.append([Path(QUICK_START[sub][1]).read_bytes() for sub in ("plan", "map", "autoconnect")])
     ok = outputs[0] == outputs[1]
     # sanity: the selection actually matched stream A
     assert json.loads(outputs[0][2].decode())["stream_id"] == "A"

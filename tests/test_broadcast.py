@@ -290,6 +290,8 @@ NAN, INF = float("nan"), float("inf")
         lambda: sink_apply_delays(BroadcastSink(500.0), NAN, SpecMode.AMENDED),
         lambda: sink_apply_delays(BroadcastSink(40.0), INF, SpecMode.STRICT),
         lambda: transport_propagation_delay_ms(TransportKind.ULTRASOUND, 1e308),
+        lambda: AudioStreamDescriptor("S", INF),
+        lambda: transport_propagation_delay_ms(TransportKind.ELECTROMAGNETIC, INF),
     ],
     ids=[
         "sink-buffer-nan",
@@ -302,8 +304,32 @@ NAN, INF = float("nan"), float("inf")
         "presentation-nan",
         "presentation-inf",
         "ultrasound-overflow",
+        "stream-rate-inf",
+        "distance-inf",
     ],
 )
 def test_nonfinite_numbers_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: AudioStreamDescriptor("S", 48000, airtime_fraction=0.0),
+        lambda: AudioStreamDescriptor("S", 48000, airtime_fraction=1.0),
+        lambda: AdvertisingTrain("T", "S", 0.0, airtime_fraction=0.0),
+        lambda: AdvertisingTrain("T", "S", 0.0, airtime_fraction=1.0),
+        lambda: AudioStreamDescriptor("S", 1),
+        lambda: BroadcastSink(1.0),
+    ],
+    ids=["stream-airtime-0", "stream-airtime-1", "train-airtime-0", "train-airtime-1", "stream-rate-1", "sink-buffer-1"],
+)
+def test_range_ends_accepted(call):
+    # airtime fractions are a closed range; a rate or buffer need only be above 0
+    call()
+
+
+def test_zero_sink_buffer_rejected():
+    with pytest.raises(ValueError, match="max_presentation_delay_ms must be > 0"):
+        BroadcastSink(0.0)

@@ -1,72 +1,66 @@
 """What a fresh process loads: the package itself loads no submodule, a
-CLI process loads every layer module, and decimal, csv and wave load only
-in the subcommands that use them."""
+CLI process loads every layer module, decimal, csv and wave load only in
+the subcommands that use them, and numpy only in the audio subcommands."""
 
 import ast
-import contextlib
-import io
-from pathlib import Path
+import json
 
 import pytest
 
 import alsalign
-from alsalign.cli import main
 
-REPO = Path(__file__).resolve().parents[1]
-DEMO_VENUE = REPO / "demo" / "venue.json"
-DEMO_BROADCAST = REPO / "demo" / "broadcast.json"
+from test_golden import QUICK_START
 
-# the last stdout line lists the alsalign submodules the code loaded
-LOADED = "print(sorted(m.partition('.')[2] for m in sys.modules if m.startswith('alsalign.')))\n"
-# ... and the line before it the deferred standard modules it loaded
-DEFERRED = "print(sorted({'csv', 'decimal', 'wave'} & set(sys.modules)))\n"
+# the last stdout line: what the process loaded, and its OS thread count
+REPORT = (
+    "import json, os, sys\n"
+    "print(json.dumps({\n"
+    "    'alsalign': sorted(m.partition('.')[2] for m in sys.modules if m.startswith('alsalign.')),\n"
+    "    'deferred': sorted({'csv', 'decimal', 'wave'} & set(sys.modules)),\n"
+    "    'numpy': sorted({'numpy', 'numpy.fft'} & set(sys.modules)),\n"
+    "    'threads': len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None,\n"
+    "}))\n"
+)
 LIBRARY = {"acoustics", "autoconnect", "broadcast", "perception", "planner", "prng", "signals"}
 
-# run the entry as `python -m alsalign` does
+# run the entry as `python -m alsalign` does, report, and exit with the entry's code
 RUN_ENTRY = (
     "import runpy, sys\n"
     "try:\n"
     "    runpy.run_module('alsalign', run_name='__main__', alter_sys=True)\n"
     "except SystemExit as exc:\n"
     "    code = exc.code\n"
-    + DEFERRED
-    + LOADED
+    + REPORT
     + "sys.exit(code)\n"
 )
 
 
-def _printed_sets(fresh_python, code: str, *args: str, cwd=None, exit_code=0) -> list[set[str]]:
-    done = fresh_python(code, *args, cwd=cwd)
+def loaded(fresh_python, code: str, *args: str, exit_code=0, **kwargs) -> dict:
+    """Run code that ends with REPORT in a fresh interpreter; return the report."""
+    done = fresh_python(code, *args, **kwargs)
     assert done.stderr == "", done.stderr
     assert done.returncode == exit_code
-    return [set(ast.literal_eval(line)) for line in done.stdout.splitlines()[-2:]]
-
-
-def _loaded(fresh_python, code: str) -> set[str]:
-    return _printed_sets(fresh_python, code)[-1]
-
-
-def test_import_loads_no_submodule(fresh_python):
-    assert _loaded(fresh_python, "import sys, alsalign\n" + LOADED) == set()
-
-
-def test_dunder_lookup_loads_nothing(fresh_python):
-    code = "import sys, alsalign\nassert not hasattr(alsalign, '__wrapped__')\n" + LOADED
-    assert _loaded(fresh_python, code) == set()
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize(
-    "name, modules",
+    "lookup, modules",
     [
-        ("signals", {"signals", "prng"}),
-        ("planner", {"planner", "acoustics", "perception"}),
-        ("cli", LIBRARY | {"cli"}),
-        ("plan_zones", LIBRARY),
-        ("__all__", LIBRARY),
+        ("", set()),
+        ("assert not hasattr(alsalign, '__wrapped__')", set()),
+        ("alsalign.signals", {"signals", "prng"}),
+        ("alsalign.planner", {"planner", "acoustics", "perception"}),
+        ("alsalign.cli", LIBRARY | {"cli"}),
+        ("alsalign.plan_zones", LIBRARY),
+        ("alsalign.__all__", LIBRARY),
     ],
+    ids=["import", "dunder", "signals", "planner", "cli", "plan_zones", "__all__"],
 )
-def test_name_loads_its_module(fresh_python, name, modules):
-    assert _loaded(fresh_python, f"import sys, alsalign\nalsalign.{name}\n" + LOADED) == modules
+def test_name_loads_its_module(fresh_python, lookup, modules):
+    # no lookup loads numpy: the planning side is pure arithmetic
+    report = loaded(fresh_python, f"import alsalign\n{lookup}\n" + REPORT)
+    assert set(report["alsalign"]) == modules
+    assert report["numpy"] == []
 
 
 def test_star_import_binds_every_public_name(fresh_python):
@@ -83,33 +77,21 @@ def test_one_lookup_binds_every_public_name(fresh_python):
     assert set(ast.literal_eval(done.stdout.splitlines()[-1])) == set(alsalign.__all__)
 
 
-@pytest.mark.parametrize(
-    "argv, exit_code, deferred",
-    [
-        (["plan", "--venue", str(DEMO_VENUE), "--out", "plan.json"], 0, {"decimal"}),
-        (["map", "--venue", str(DEMO_VENUE), "--plan", "demo-plan.json", "--out", "map.csv"], 0, {"csv"}),
-        (["validate", "--config", str(DEMO_BROADCAST), "--mode", "strict"], 1, set()),
-        (
-            ["simulate", "--venue", str(DEMO_VENUE), "--plan", "demo-plan.json", "--seat", "K1", "--out", "r.json"],
-            0,
-            set(),
-        ),
-        (
-            [
-                "autoconnect",
-                "--mic", "noise:7:1000:16000", "--snr-db", "0", "--seed", "42",
-                "--stream", "A=noise:7:1000:16000", "--stream", "B=noise:8:1000:16000",
-                "--max-lag-ms", "400", "--out", "selection.json",
-            ],
-            0,
-            set(),
-        ),
-    ],
-    ids=lambda v: v[0] if isinstance(v, list) else None,
-)
-def test_subcommand_loads_every_layer_and_only_its_deferred_modules(fresh_python, tmp_path, argv, exit_code, deferred):
-    with contextlib.redirect_stdout(io.StringIO()):
-        main(["plan", "--venue", str(DEMO_VENUE), "--out", str(tmp_path / "demo-plan.json")])
-    loaded_deferred, loaded = _printed_sets(fresh_python, RUN_ENTRY, *argv, cwd=tmp_path, exit_code=exit_code)
-    assert loaded == LIBRARY | {"cli"}
-    assert loaded_deferred == deferred
+# subcommand -> (deferred standard modules, numpy modules) it loads; the
+# audio commands must load numpy, or the checks that the others do not
+# could pass vacuously, and only the autoconnect search loads numpy.fft
+LOADS = {
+    "plan": ({"decimal"}, set()),
+    "map": ({"csv"}, set()),
+    "simulate": (set(), {"numpy"}),
+    "autoconnect": (set(), {"numpy", "numpy.fft"}),
+    "validate": (set(), set()),
+}
+
+
+@pytest.mark.parametrize("sub", list(QUICK_START))
+def test_subcommand_loads_every_layer_and_only_its_deferred_modules(fresh_python, tmp_path, sub):
+    argv, _, exit_code = QUICK_START[sub]
+    report = loaded(fresh_python, RUN_ENTRY, *argv, cwd=tmp_path, exit_code=exit_code)
+    assert set(report["alsalign"]) == LIBRARY | {"cli"}
+    assert (set(report["deferred"]), set(report["numpy"])) == LOADS[sub]
