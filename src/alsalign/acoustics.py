@@ -70,7 +70,7 @@ class Venue:
         for s in self.seats:
             if s.id == seat_id:
                 return s
-        raise KeyError(f"no seat {seat_id!r} in venue")
+        raise ValueError(f"no seat {seat_id!r} in venue")
 
     def nearest_loudspeaker_distance_m(self, position: Position) -> float:
         return min(position.distance_to(ls) for ls in self.loudspeakers)

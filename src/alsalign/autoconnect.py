@@ -346,7 +346,7 @@ def autoconnect_pipeline(
     else:
         by_id = {score[0]: score[1:] for score in _scores(mic, candidates, max_lag_ms, threshold)}
         if forced_stream not in by_id:
-            raise KeyError(f"forced stream {forced_stream!r} is not among the candidates")
+            raise ValueError(f"forced stream {forced_stream!r} is not among the candidates")
         lag_ms, peak = by_id[forced_stream]
         result = SelectionResult(forced_stream, peak, lag_ms)
     if not result.matched:

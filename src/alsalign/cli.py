@@ -3,7 +3,8 @@
 All numeric output is formatted at 6 significant digits and files are
 written with \\n line endings, so identical invocations produce
 byte-identical outputs. Exit codes: 0 success/match, 1 clean negative
-result (no match, validation failure), 2 usage or input error.
+result (no match, validation failure), 2 usage or input error or out
+of memory.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ def _load(loader, path, what: str):
         raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"bad {what} {path}: {exc}") from None
 
 
@@ -154,10 +155,7 @@ def run_map(args: argparse.Namespace) -> int:
 
 def run_simulate(args: argparse.Namespace) -> int:
     venue = _load(acoustics.load_venue, args.venue, "venue file")
-    try:
-        delay = acoustics.seat_acoustic_delay_ms(venue, args.seat)
-    except KeyError as exc:
-        raise ValueError(str(exc.args[0])) from None
+    delay = acoustics.seat_acoustic_delay_ms(venue, args.seat)
     presentation = 0.0  # uncompensated unless a plan zone covers the seat
     uncovered = False
     if args.plan is not None:
@@ -169,7 +167,7 @@ def run_simulate(args: argparse.Namespace) -> int:
             uncovered = True
     residual = planner.residual_delay_ms(delay, presentation)
     program = signals.gen_white_noise(args.seed, SIMULATE_PROGRAM_MS, args.sample_rate_hz)
-    ear = perception.ear_signal(program, program, residual, perception.MixSpec(1.0, 1.0))
+    ear = perception.ear_signal(program, program, residual)
     distortion = perception.classify_residual(residual).value
     _write_json(
         args.out,
@@ -211,8 +209,6 @@ def run_autoconnect(args: argparse.Namespace) -> int:
         result, updated = autoconnect.autoconnect_pipeline(
             mic, candidates, sink, mode, args.max_lag_ms, args.threshold, args.force_stream
         )
-    except KeyError as exc:
-        raise ValueError(str(exc.args[0])) from None
     except broadcast.SinkDelayError as exc:
         payload.update(
             {
@@ -318,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ValueError as exc:  # every usage or input fault, from the library or from this module
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    except MemoryError as exc:  # an input too large for this machine, not a negative result
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+    return EXIT_ERROR

@@ -9,7 +9,6 @@ multiples of 1/(2*delay).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
@@ -20,7 +19,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DistortionClass",
-    "MixSpec",
     "classify_residual",
     "comb_filter_magnitude",
     "notch_frequencies",
@@ -40,20 +38,6 @@ class DistortionClass(Enum):
     COLORATION = "coloration"
     REVERBERATION = "reverberation"
     ECHO = "echo"
-
-
-@dataclass(frozen=True)
-class MixSpec:
-    """Linear gains applied to the broadcast and acoustic branches."""
-
-    broadcast_gain: float = 1.0
-    acoustic_gain: float = 1.0
-
-    def __post_init__(self):
-        for name in ("broadcast_gain", "acoustic_gain"):
-            gain = getattr(self, name)
-            if not 0 <= gain < math.inf:
-                raise ValueError(f"{name} must be >= 0, got {gain}")
 
 
 def classify_residual(residual_ms: float) -> DistortionClass:
@@ -110,11 +94,12 @@ def notch_frequencies(delay_ms: float, max_freq_hz: float) -> list[float]:
         k += 1
 
 
-def ear_signal(broadcast: Signal, acoustic: Signal, residual_ms: float, spec: MixSpec) -> Signal:
-    """Mixed ear signal with the lagging branch delayed by |residual_ms|.
+def ear_signal(broadcast: Signal, acoustic: Signal, residual_ms: float) -> Signal:
+    """Unit-gain sum of both branches, the lagging one delayed by |residual_ms|.
 
     Positive residual means the acoustic signal arrives after the
-    broadcast; negative means the broadcast branch lags instead.
+    broadcast; negative means the broadcast branch lags instead. To weight
+    a branch, pass it through signals.mix first.
     """
     if not math.isfinite(residual_ms):
         raise ValueError(f"residual must be finite, got {residual_ms}")
@@ -128,4 +113,4 @@ def ear_signal(broadcast: Signal, acoustic: Signal, residual_ms: float, spec: Mi
         acoustic = delay_signal(acoustic, residual_ms)
     else:
         broadcast = delay_signal(broadcast, -residual_ms)
-    return mix([(broadcast, spec.broadcast_gain), (acoustic, spec.acoustic_gain)])
+    return mix([(broadcast, 1.0), (acoustic, 1.0)])

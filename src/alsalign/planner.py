@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .acoustics import Venue, _load_json, _read, delay_map, propagation_delay_ms
+from .acoustics import SPEED_OF_SOUND_M_PER_S, Venue, _load_json, _read, delay_map, propagation_delay_ms
 from .perception import DistortionClass, classify_residual
 
 __all__ = [
@@ -98,7 +98,7 @@ class DelayPlan:
         return self.zones[-1].delay_hi_ms
 
 
-def plan_zones(max_distance_m: float, tolerance_ms: float, speed_m_per_s: float = 343.0) -> DelayPlan:
+def plan_zones(max_distance_m: float, tolerance_ms: float, speed_m_per_s: float = SPEED_OF_SOUND_M_PER_S) -> DelayPlan:
     """Plan the fewest equal-width zones covering [0, span) within +-tolerance.
 
     span is the propagation delay of max_distance_m; the zone count is

@@ -58,10 +58,6 @@ class Signal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration_ms(self) -> float:
-        return 1000.0 * len(self.samples) / self.sample_rate_hz
-
     def power(self) -> float:
         """Mean squared amplitude; 0.0 for an empty signal."""
         if len(self.samples) == 0:
@@ -111,19 +107,17 @@ def gen_white_noise(seed: int, duration_ms: float, sample_rate_hz: int) -> Signa
     return _own(SplitMix64(seed).symmetric_block(n), sample_rate_hz)
 
 
-def gen_sine(freq_hz: float, duration_ms: float, sample_rate_hz: int, amplitude: float = 1.0) -> Signal:
-    """Pure tone: samples[k] = amplitude * sin(2*pi*freq_hz*k/sample_rate_hz)."""
+def gen_sine(freq_hz: float, duration_ms: float, sample_rate_hz: int) -> Signal:
+    """Pure tone: samples[k] = sin(2*pi*freq_hz*k/sample_rate_hz)."""
     n = _num_samples(duration_ms, sample_rate_hz)
     if not 0 <= freq_hz < sample_rate_hz / 2:
         raise ValueError(
             f"freq_hz must satisfy 0 <= f < Nyquist ({sample_rate_hz / 2} Hz), got {freq_hz}"
         )
-    if not math.isfinite(amplitude):
-        raise ValueError(f"amplitude must be finite, got {amplitude}")
     import numpy as np
 
     k = np.arange(n, dtype=np.float64)
-    return Signal(amplitude * np.sin(2.0 * np.pi * freq_hz * k / sample_rate_hz), sample_rate_hz)
+    return Signal(np.sin(2.0 * np.pi * freq_hz * k / sample_rate_hz), sample_rate_hz)
 
 
 def delay_signal(sig: Signal, delay_ms: float) -> Signal:

@@ -33,10 +33,15 @@ class TestPropagationDelay:
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
             propagation_delay_ms(-1.0, 343.0)
+        with pytest.raises(ValueError, match=r"^distance_m must be >= 0, got inf$"):
+            propagation_delay_ms(float("inf"), 343.0)
 
     def test_bad_speed_rejected(self):
         with pytest.raises(ValueError):
             propagation_delay_ms(1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^speed must be > 0, got inf$"):
+            propagation_delay_ms(1.0, float("inf"))
+        assert propagation_delay_ms(1.0, 0.5) == 2000.0
 
     @given(d=st.floats(min_value=0, max_value=1000))
     def test_linear_in_distance(self, d):
@@ -75,7 +80,7 @@ class TestSeatAcousticDelay:
 
     def test_unknown_seat(self):
         venue = venue_one_speaker([])
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^no seat 'nope' in venue$"):
             seat_acoustic_delay_ms(venue, "nope")
 
 
@@ -105,6 +110,12 @@ class TestVenueType:
     def test_needs_loudspeaker(self):
         with pytest.raises(ValueError):
             Venue(loudspeakers=())
+
+    def test_speed_range(self):
+        assert Venue((Position(0.0, 0.0),), (), 0.5).speed_of_sound_m_per_s == 0.5
+        for speed in (0.0, float("inf")):
+            with pytest.raises(ValueError, match=rf"^speed of sound must be > 0, got {speed}$"):
+                Venue((Position(0.0, 0.0),), (), speed)
 
     def test_duplicate_seat_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -661,6 +661,9 @@ class TestAutoconnectPipeline:
         # compensation nulls the residual to within one sample
         residual = 100.0 - updated.local_alignment_delay_ms
         assert abs(residual) <= 1000.0 / 16000.0
+        # a lag equal to the buffer fits: the pipeline adds no presentation delay
+        _, full = autoconnect_pipeline(mic, [CandidateStream("A", stream)], BroadcastSink(100.0), SpecMode.AMENDED, 200.0, 0.3)
+        assert full.local_alignment_delay_ms == 100.0
 
     def test_no_match_leaves_sink_unchanged(self):
         sink = BroadcastSink(max_presentation_delay_ms=500.0)
@@ -752,7 +755,7 @@ class TestAutoconnectPipeline:
 
     def test_forced_unknown_stream_rejected(self):
         sig = gen_white_noise(1, 100, 8000)
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match=r"^forced stream 'Z' is not among the candidates$"):
             autoconnect_pipeline(
                 sig,
                 [CandidateStream("A", sig)],

@@ -1,10 +1,12 @@
 import contextlib
 import csv
+import functools
 import importlib
 import io
 import json
 import math
 import pkgutil
+import sys
 import tempfile
 import wave
 from pathlib import Path
@@ -43,6 +45,7 @@ class TestParser:
         assert args.max_lag_ms == 500.0
         assert args.threshold == 0.3
         assert args.mode == "amended"
+        assert args.seed == 0
 
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
@@ -75,6 +78,16 @@ class TestPlanCommand:
         plan = json.loads(out.read_text())
         assert len(plan["zones"]) == 1
         assert plan["zones"][0]["presentation_delay_ms"] == 0.0
+
+    def test_last_edge_of_one_metre_is_kept(self, tmp_path):
+        # the published last edge is rounded up at the 6th digit; 1.0 is on that grid
+        venue = tmp_path / "venue.json"
+        venue.write_text(
+            json.dumps({"loudspeakers": [{"x_m": 0, "y_m": 0}], "seats": [{"id": "A", "x_m": 0, "y_m": 1}]})
+        )
+        out = tmp_path / "plan.json"
+        assert main(["plan", "--venue", str(venue), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["zones"][-1]["distance_hi_m"] == 1.0
 
     def test_venue_without_seats_spans_nothing(self, tmp_path, capsys):
         venue = tmp_path / "venue.json"
@@ -365,16 +378,18 @@ class TestAutoconnectCommand:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_bad_stream_spec_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize("item", ["missing-equals-sign", "=noise:7:200:8000", "A="])
+    def test_bad_stream_spec_is_usage_error(self, tmp_path, capsys, item):
         rc = main(
             [
                 "autoconnect",
                 "--mic", "noise:1:100:8000",
-                "--stream", "missing-equals-sign",
+                "--stream", item,
                 "--out", str(tmp_path / "x.json"),
             ]
         )
         assert rc == 2
+        assert capsys.readouterr().err == f"error: bad --stream {item!r}: expected <id>=<source>\n"
 
     def test_sine_source_fields_are_hz_ms_rate(self):
         sig = parse_signal_source("sine:100:250:8000")
@@ -626,6 +641,7 @@ class TestOutOfRangeInputs:
             "no_zones.json": plan_with(lambda p: p.update(zones=[])),
             "index_5.json": plan_with(lambda p: p["zones"][1].update(index=5)),
             "tolerance_10.json": plan_with(lambda p: p.update(tolerance_ms=10)),
+            "tolerance_25.json": plan_with(lambda p: p.update(tolerance_ms=25)),
             "bad_distance.json": plan_with(lambda p: p["zones"][0].update(distance_hi_m=99)),
             "three_channels.json": {"streams": [{**stream, "channels": 3}]},
             "stream_airtime.json": {"streams": [{**stream, "airtime_fraction": 2}]},
@@ -694,6 +710,11 @@ class TestOutOfRangeInputs:
                 id="notch-cap",
             ),
             pytest.param(
+                ["simulate", "--venue", str(DEMO_VENUE), "--seat", "ZZ", "--out", "{tmp}/r.json"],
+                "no seat 'ZZ' in venue",
+                id="unknown-seat",
+            ),
+            pytest.param(
                 ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", "--sample-rate-hz=10000000000", "--out", "{tmp}/r.json"],
                 "1000.0 ms at 10000000000 Hz is more than 10000000 samples",
                 id="sample-cap-rate",
@@ -727,6 +748,11 @@ class TestOutOfRangeInputs:
                 ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/tolerance_10.json", "--out", "{tmp}/m.csv"],
                 "bad plan file {tmp}/tolerance_10.json: zone 0 width 58.3414 exceeds 2*tolerance 20.0",
                 id="plan-tolerance-10",
+            ),
+            pytest.param(
+                ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/tolerance_25.json", "--out", "{tmp}/m.csv"],
+                "bad plan file {tmp}/tolerance_25.json: zone 0 width 58.3414 exceeds 2*tolerance 50.0",
+                id="plan-tolerance-25",
             ),
             pytest.param(
                 ["map", "--venue", str(DEMO_VENUE), "--plan", "{tmp}/bad_distance.json", "--out", "{tmp}/m.csv"],
@@ -796,6 +822,20 @@ class TestOutOfRangeInputs:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message.format(tmp=files)}")
         assert err.count("\n") == 1
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="caps the address space through Linux RLIMIT_AS")
+    def test_out_of_memory_is_one_error_line(self, fresh_process, tmp_path):
+        # the two 600 s signals fit in 400 MiB, the search's 223 MiB work block does not
+        import resource
+
+        cap = functools.partial(resource.setrlimit, resource.RLIMIT_AS, (400 << 20, 400 << 20))
+        out = tmp_path / "sel.json"
+        argv = ["--mic", "noise:1:600000:16000", "--stream", "A=noise:1:600000:16000", "--out", str(out)]
+        done = fresh_process("-m", "alsalign", "autoconnect", *argv, text=True, preexec_fn=cap)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: out of memory: ")
+        assert done.stderr.count("\n") == 1
+        assert not out.exists()
 
 
 # finite values plus the values that break one-sided checks or overflow
