@@ -11,7 +11,7 @@ from alsalign.perception import (
     ear_signal,
     notch_frequencies,
 )
-from alsalign.signals import Signal, delay_signal, gen_sine, gen_white_noise
+from alsalign.signals import Signal, delay_signal, gen_sine, gen_white_noise, mix
 
 
 class TestClassifyResidual:
@@ -143,6 +143,19 @@ class TestEarSignal:
     def test_mismatched_rates_rejected(self):
         with pytest.raises(ValueError):
             ear_signal(gen_sine(100, 10, 8000), gen_sine(100, 10, 16000), 0.0)
+
+    def test_gains_default_to_one(self):
+        b = gen_white_noise(1, 20, 16000)
+        a = gen_white_noise(2, 20, 16000)
+        out = ear_signal(b, a, 0.0)
+        assert np.array_equal(out.samples, b.samples + a.samples)
+
+    def test_branch_weighted_through_mix(self):
+        b = gen_white_noise(1, 20, 16000)
+        a = gen_white_noise(2, 20, 16000)
+        out = ear_signal(mix([(b, 0.5)]), a, 2.0)
+        expected = mix([(b, 0.5), (delay_signal(a, 2.0), 1.0)])
+        assert np.array_equal(out.samples, expected.samples)
 
 
 NAN, INF = float("nan"), float("inf")
