@@ -20,7 +20,6 @@ __all__ = [
     "Venue",
     "SeatDelay",
     "propagation_delay_ms",
-    "seat_acoustic_delay_ms",
     "delay_map",
     "venue_from_dict",
     "load_venue",
@@ -66,15 +65,6 @@ class Venue:
             dup = sorted(i for i, count in Counter(ids).items() if count > 1)
             raise ValueError(f"duplicate seat ids: {dup}")
 
-    def seat(self, seat_id: str) -> Seat:
-        for s in self.seats:
-            if s.id == seat_id:
-                return s
-        raise ValueError(f"no seat {seat_id!r} in venue")
-
-    def nearest_loudspeaker_distance_m(self, position: Position) -> float:
-        return min(position.distance_to(ls) for ls in self.loudspeakers)
-
 
 @dataclass(frozen=True)
 class SeatDelay:
@@ -97,18 +87,11 @@ def propagation_delay_ms(distance_m: float, speed_m_per_s: float = SPEED_OF_SOUN
     return delay
 
 
-def seat_acoustic_delay_ms(venue: Venue, seat_id: str) -> float:
-    """First-arrival delay: propagation delay from the nearest loudspeaker."""
-    seat = venue.seat(seat_id)
-    distance = venue.nearest_loudspeaker_distance_m(seat.position)
-    return propagation_delay_ms(distance, venue.speed_of_sound_m_per_s)
-
-
 def delay_map(venue: Venue) -> list[SeatDelay]:
-    """Per-seat nearest distance and acoustic delay, sorted by seat id."""
+    """Per-seat first arrival, sorted by seat id: distance to the nearest loudspeaker and its delay."""
     rows = []
     for seat in sorted(venue.seats, key=lambda s: s.id):
-        distance = venue.nearest_loudspeaker_distance_m(seat.position)
+        distance = min(seat.position.distance_to(ls) for ls in venue.loudspeakers)
         delay = propagation_delay_ms(distance, venue.speed_of_sound_m_per_s)
         rows.append(SeatDelay(seat.id, distance, delay))
     return rows

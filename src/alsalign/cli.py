@@ -111,8 +111,8 @@ def parse_signal_source(spec: str) -> signals.Signal:
 
 def run_plan(args: argparse.Namespace) -> int:
     venue = _load(acoustics.load_venue, args.venue, "venue file")
-    max_distance = max((venue.nearest_loudspeaker_distance_m(s.position) for s in venue.seats), default=0.0)
-    plan = planner.plan_zones(max_distance, args.tolerance_ms, venue.speed_of_sound_m_per_s)
+    farthest = max((row.distance_m for row in acoustics.delay_map(venue)), default=0.0)
+    plan = planner.plan_zones(farthest, args.tolerance_ms, venue.speed_of_sound_m_per_s)
     payload = _json_ready(planner.plan_to_dict(plan))
     # publish the span rounded up, so rounding never drops the farthest seat
     payload["zones"][-1]["delay_hi_ms"] = _ceil6(plan.span_ms)
@@ -155,17 +155,17 @@ def run_map(args: argparse.Namespace) -> int:
 
 def run_simulate(args: argparse.Namespace) -> int:
     venue = _load(acoustics.load_venue, args.venue, "venue file")
-    delay = acoustics.seat_acoustic_delay_ms(venue, args.seat)
-    presentation = 0.0  # uncompensated unless a plan zone covers the seat
+    seat = next((row for row in acoustics.delay_map(venue) if row.seat_id == args.seat), None)
+    if seat is None:
+        raise ValueError(f"no seat {args.seat!r} in venue")
+    residual = seat.acoustic_delay_ms  # uncompensated unless a plan zone covers the seat
     uncovered = False
     if args.plan is not None:
         plan = _load(planner.load_plan, args.plan, "plan file")
-        planner._check_speed(venue, plan)
-        try:
-            presentation = planner.zone_for_delay(plan, delay).presentation_delay_ms
-        except planner.UncoveredDelayError:
-            uncovered = True
-    residual = planner.residual_delay_ms(delay, presentation)
+        assigned = next(row for row in planner.verify_plan(venue, plan).seats if row.seat_id == args.seat)
+        uncovered = not assigned.covered
+        if assigned.covered:
+            residual = assigned.residual_ms
     program = signals.gen_white_noise(args.seed, SIMULATE_PROGRAM_MS, args.sample_rate_hz)
     ear = perception.ear_signal(program, program, residual)
     distortion = perception.classify_residual(residual).value

@@ -29,7 +29,9 @@ __all__ = [
     "load_plan",
 ]
 
-# structural checks tolerate values round-tripped through 6-significant-digit files
+# structural checks tolerate values round-tripped through 6-significant-digit
+# files, and compare in ms: rounding the speed, a delay and its distance (the
+# last edge up) keeps the distance, converted to ms, within 1.5e-5 of the span
 _REL_SLACK = 2e-5
 # checked before any zone is built; far above any real venue at any sane tolerance
 _MAX_ZONES = 100_000
@@ -89,7 +91,7 @@ class DelayPlan:
             if zone.width_ms > 2.0 * self.tolerance_ms + slack:
                 raise ValueError(f"zone {i} width {zone.width_ms} exceeds 2*tolerance {2 * self.tolerance_ms}")
             for delay, dist in ((zone.delay_lo_ms, zone.distance_lo_m), (zone.delay_hi_ms, zone.distance_hi_m)):
-                if abs(dist - delay * self.speed_of_sound_m_per_s / 1000.0) > slack:
+                if abs(dist * 1000.0 / self.speed_of_sound_m_per_s - delay) > slack:
                     raise ValueError(f"zone {i} distance {dist} inconsistent with delay {delay}")
             prev_hi = zone.delay_hi_ms
 
@@ -173,21 +175,17 @@ class PlanVerification:
         return [s.seat_id for s in self.seats if not s.covered]
 
 
-def _check_speed(venue: Venue, plan: DelayPlan) -> None:
-    """A plan's zone distances hold only at the speed of sound it was made for."""
-    if not math.isclose(venue.speed_of_sound_m_per_s, plan.speed_of_sound_m_per_s, rel_tol=_REL_SLACK):
-        raise ValueError(
-            f"venue speed {venue.speed_of_sound_m_per_s} != plan speed {plan.speed_of_sound_m_per_s}"
-        )
-
-
 def verify_plan(venue: Venue, plan: DelayPlan) -> PlanVerification:
     """Assign every seat to its zone and report residuals and classes.
 
     Seats whose delay exceeds the plan span are flagged uncovered rather
     than failing the whole verification.
     """
-    _check_speed(venue, plan)
+    # a plan's zone distances hold only at the speed of sound it was made for
+    if not math.isclose(venue.speed_of_sound_m_per_s, plan.speed_of_sound_m_per_s, rel_tol=_REL_SLACK):
+        raise ValueError(
+            f"venue speed {venue.speed_of_sound_m_per_s} != plan speed {plan.speed_of_sound_m_per_s}"
+        )
     rows = []
     max_abs = 0.0
     for entry in delay_map(venue):

@@ -114,10 +114,15 @@ def gen_sine(freq_hz: float, duration_ms: float, sample_rate_hz: int) -> Signal:
         raise ValueError(
             f"freq_hz must satisfy 0 <= f < Nyquist ({sample_rate_hz / 2} Hz), got {freq_hz}"
         )
+    # the phase rises with k, so the last one, computed as below, bounds them all
+    if n and not math.isfinite(2.0 * math.pi * freq_hz * (n - 1) / sample_rate_hz):
+        raise ValueError(f"phase of a {freq_hz} Hz tone over {n} samples at {sample_rate_hz} Hz overflows")
     import numpy as np
 
-    k = np.arange(n, dtype=np.float64)
-    return Signal(np.sin(2.0 * np.pi * freq_hz * k / sample_rate_hz), sample_rate_hz)
+    phase = np.arange(n, dtype=np.float64)
+    phase *= 2.0 * np.pi * freq_hz
+    phase /= sample_rate_hz
+    return _own(np.sin(phase, out=phase), sample_rate_hz)
 
 
 def delay_signal(sig: Signal, delay_ms: float) -> Signal:
@@ -158,7 +163,8 @@ def mix(parts: list[tuple[Signal, float]]) -> Signal:
     with np.errstate(over="ignore", invalid="ignore"):
         for sig, gain in parts:
             out[: len(sig)] += gain * sig.samples
-    return Signal(out, rates.pop())
+    _require_finite(out)
+    return _own(out, rates.pop())
 
 
 def add_noise_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
@@ -209,8 +215,11 @@ def read_wav(path) -> Signal:
             raise ValueError(f"expected mono WAV, got {w.getnchannels()} channels")
         if w.getsampwidth() != 2:
             raise ValueError(f"expected 16-bit PCM, got {8 * w.getsampwidth()}-bit")
-        n = w.getnframes()
+        n, rate = w.getnframes(), w.getframerate()
         if n > _MAX_SAMPLES:
-            raise ValueError(f"{n} frames at {w.getframerate()} Hz is more than {_MAX_SAMPLES} samples")
-        pcm = np.frombuffer(w.readframes(n), dtype="<i2")
-        return Signal(pcm.astype(np.float64) / 32768.0, w.getframerate())
+            raise ValueError(f"{n} frames at {rate} Hz is more than {_MAX_SAMPLES} samples")
+        if not rate > 0:
+            raise ValueError(f"sample_rate_hz must be > 0, got {rate}")
+        samples = np.frombuffer(w.readframes(n), dtype="<i2").astype(np.float64)
+    samples /= 32768.0
+    return _own(samples, rate)

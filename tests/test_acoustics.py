@@ -11,7 +11,6 @@ from alsalign.acoustics import (
     delay_map,
     load_venue,
     propagation_delay_ms,
-    seat_acoustic_delay_ms,
     venue_from_dict,
 )
 
@@ -55,7 +54,7 @@ def venue_one_speaker(seats):
 class TestSeatAcousticDelay:
     def test_10m_seat(self):
         venue = venue_one_speaker([Seat("A1", Position(0.0, 10.0))])
-        assert seat_acoustic_delay_ms(venue, "A1") == pytest.approx(10000.0 / 343.0)
+        assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(10000.0 / 343.0)
 
     def test_equidistant_speakers(self):
         venue = Venue(
@@ -63,25 +62,20 @@ class TestSeatAcousticDelay:
             seats=(Seat("A1", Position(0.0, 4.0)),),
         )
         # both speakers are 5 m away
-        assert seat_acoustic_delay_ms(venue, "A1") == pytest.approx(5000.0 / 343.0)
+        assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(5000.0 / 343.0)
 
     def test_distance_is_euclidean(self):
         speaker, seat = Position(3.0, 4.0), Position(6.0, 8.0)
         assert speaker.distance_to(seat) == seat.distance_to(speaker) == 5.0
         venue = Venue(loudspeakers=(speaker,), seats=(Seat("A1", seat),))
-        assert seat_acoustic_delay_ms(venue, "A1") == pytest.approx(5000.0 / 343.0)
+        assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(5000.0 / 343.0)
 
     def test_first_arrival_wins(self):
         venue = Venue(
             loudspeakers=(Position(0.0, 5.0), Position(0.0, 20.0)),
             seats=(Seat("A1", Position(0.0, 0.0)),),
         )
-        assert seat_acoustic_delay_ms(venue, "A1") == pytest.approx(5000.0 / 343.0)
-
-    def test_unknown_seat(self):
-        venue = venue_one_speaker([])
-        with pytest.raises(ValueError, match=r"^no seat 'nope' in venue$"):
-            seat_acoustic_delay_ms(venue, "nope")
+        assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(5000.0 / 343.0)
 
 
 class TestDelayMap:

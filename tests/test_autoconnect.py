@@ -139,6 +139,11 @@ def _extreme_scales():
     tone = gen_sine(440.0, 250, 8000)
     for mic in (delay_signal(tone, 12.0), tone):
         pairs.append((Signal(1e-160 * mic.samples, 8000), Signal(1e-160 * tone.samples, 8000), 1000))
+    # norms near 2**510.6, above the range, at FFT size 750: their product is
+    # finite, but the spectrum product and the inverse's sums would overflow
+    stream = rng.normal(size=600)
+    mic = np.concatenate((rng.normal(size=40), stream[:560])) + 0.1 * rng.normal(size=600)
+    pairs.append((Signal(2.0**506 * mic, 8000), Signal(2.0**506 * stream, 8000), 150))
     return pairs
 
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import pkgutil
+import random
 import sys
 import tempfile
 import wave
@@ -171,6 +172,28 @@ class TestMapCommand:
         assert [row[0] for row in rows] == ["seat_id", *ids]
         assert {len(row) for row in rows} == {7}
         assert [row[1] for row in rows[1:]] == ["0", "5", "10", "15"]  # distance_m, not a piece of an id
+
+    def test_written_plan_is_read_back_at_any_speed(self, tmp_path, capsys):
+        # plan writes 6 significant digits, the last edge rounded up; map must
+        # accept that file whatever the speed of sound
+        rng = random.Random(22)
+        venue, plan = tmp_path / "venue.json", tmp_path / "plan.json"
+        for _ in range(100):
+            speed = round(10 ** rng.uniform(math.log10(300), 6), 1)
+            distance = round(rng.uniform(1, 3000), 3)
+            tolerance = rng.choice(["5", "10", "30"])
+            venue.write_text(
+                json.dumps(
+                    {
+                        "speed_of_sound_m_per_s": speed,
+                        "loudspeakers": [{"x_m": 0, "y_m": 0}],
+                        "seats": [{"id": "A", "x_m": distance, "y_m": 0}],
+                    }
+                )
+            )
+            assert main(["plan", "--venue", str(venue), "--tolerance-ms", tolerance, "--out", str(plan)]) == 0
+            rc = main(["map", "--venue", str(venue), "--plan", str(plan), "--out", str(tmp_path / "map.csv")])
+            assert rc == 0, (speed, distance, tolerance, capsys.readouterr().err)
 
     @pytest.mark.parametrize(
         "command",
@@ -632,6 +655,7 @@ class TestOutOfRangeInputs:
         configs = {
             "nan_speed.json": {"speed_of_sound_m_per_s": nan, "loudspeakers": speaker, "seats": [seat(10)]},
             "far_seat.json": {"loudspeakers": speaker, "seats": [seat(1e308)]},
+            "near_and_far.json": {"loudspeakers": speaker, "seats": [seat(10), {"id": "B", "x_m": 0, "y_m": 1e308}]},
             "remote_seat.json": {"loudspeakers": speaker, "seats": [seat(1e6)]},
             "nan_plan.json": {
                 "tolerance_ms": 30,
@@ -723,6 +747,12 @@ class TestOutOfRangeInputs:
                 ["plan", "--venue", "{tmp}/far_seat.json", "--out", "{tmp}/p.json"],
                 "propagation delay over 1e+308 m overflows",
                 id="seat-at-1e308-m",
+            ),
+            pytest.param(
+                # every seat's delay is part of the venue, checked before the seat is looked up
+                ["simulate", "--venue", "{tmp}/near_and_far.json", "--seat", "A", "--out", "{tmp}/r.json"],
+                "propagation delay over 1e+308 m overflows",
+                id="simulate-beside-a-seat-at-1e308-m",
             ),
             pytest.param(
                 ["plan", "--venue", str(DEMO_VENUE), "--tolerance-ms=1e-300", "--out", "{tmp}/p.json"],

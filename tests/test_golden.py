@@ -1,12 +1,15 @@
 """The README quick-start invocations give the committed golden bytes.
 
-bench/golden/ holds the stdout and the output file of each invocation, as
-the benchmark checks them; this test only reads that directory. Each
-invocation runs in-process, as a fresh `python -m alsalign` process, and
-as a fresh process with numpy's SIMD kernels held to the x86-64-v2
-baseline, so that the bytes do not depend on which kernels numpy picks.
+QUICK_START is the README's quick-start block, with absolute paths for
+the demo files and the golden plan. bench/golden/ holds the stdout and
+the output file of each invocation, as the benchmark checks them; this
+test only reads that directory. Each invocation runs in-process, as a
+fresh `python -m alsalign` process, and as a fresh process with numpy's
+SIMD kernels held to the x86-64-v2 baseline, so that the bytes do not
+depend on which kernels numpy picks.
 """
 
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ REPO = Path(__file__).resolve().parents[1]
 VENUE = str(REPO / "demo" / "venue.json")
 GOLDEN = REPO / "bench" / "golden"
 PLAN = str(GOLDEN / "plan.json")
+BROADCAST = str(REPO / "demo" / "broadcast.json")
 
 # subcommand -> (argv run from an empty directory, output file, exit code)
 QUICK_START = {
@@ -38,7 +42,7 @@ QUICK_START = {
         "selection.json",
         0,
     ),
-    "validate": (["validate", "--config", str(REPO / "demo" / "broadcast.json"), "--mode", "strict"], None, 1),
+    "validate": (["validate", "--config", BROADCAST, "--mode", "strict"], None, 1),
 }
 
 # numpy's dispatched x86 targets above its X86_V2 baseline
@@ -74,3 +78,12 @@ def test_quick_start_output_bytes(sub, run, tmp_path):
     assert run(argv) == (exit_code, (GOLDEN / f"{sub}.stdout").read_bytes(), b"")
     if out is not None:
         assert (tmp_path / out).read_bytes() == (GOLDEN / out).read_bytes()
+
+
+def test_readme_quick_start_is_the_table():
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = block.replace("\\\n", " ").splitlines()
+    documented = [shlex.split(command)[1:] for command in commands if command.startswith("alsalign ")]
+    as_written = {VENUE: "demo/venue.json", PLAN: "plan.json", BROADCAST: "demo/broadcast.json"}
+    assert documented == [[as_written.get(arg, arg) for arg in argv] for argv, _, _ in QUICK_START.values()]

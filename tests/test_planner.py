@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from alsalign import planner
 from alsalign.acoustics import Position, Seat, Venue
 from alsalign.perception import DistortionClass
 from alsalign.planner import (
@@ -228,6 +230,31 @@ class TestPlanSerialization:
         with pytest.raises(ValueError, match="midpoint"):
             plan_from_dict(data)
 
+    # Below a 1 ms span the slack is 2e-5 ms. Each check takes a one-zone plan
+    # off by exactly that and rejects one off by 3e-5 ms. At 1000 m/s a
+    # distance in m is the same number as its delay in ms.
+    @pytest.mark.parametrize(
+        "lo, hi, presentation, distance_lo, rejected",
+        [
+            (2e-5, 0.5, (2e-5 + 0.5) / 2.0, 2e-5, None),
+            (3e-5, 0.5, (3e-5 + 0.5) / 2.0, 3e-5, "zone 0 starts at 3e-05, expected 0.0"),
+            (0.0, 0.0, 2e-5, 0.0, None),
+            (0.0, 0.0, 3e-5, 0.0, "zone 0 presentation delay 3e-05 is not the midpoint 0.0"),
+            (0.0, 0.50002, 0.25001, 0.0, None),
+            (0.0, 0.50003, 0.250015, 0.0, "zone 0 width 0.50003 exceeds 2*tolerance 0.5"),
+            (0.0, 0.0, 0.0, 2e-5, None),
+            (0.0, 0.0, 0.0, 3e-5, "zone 0 distance 3e-05 inconsistent with delay 0.0"),
+        ],
+        ids=["start", "start-over", "midpoint", "midpoint-over", "width", "width-over", "distance", "distance-over"],
+    )
+    def test_checks_take_exactly_the_slack(self, lo, hi, presentation, distance_lo, rejected):
+        zones = (Zone(0, lo, hi, presentation, distance_lo, hi),)
+        if rejected is None:
+            assert DelayPlan(0.25, 1000.0, zones).zones == zones
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(rejected)}$"):
+                DelayPlan(0.25, 1000.0, zones)
+
 
 class TestResidualBoundProperty:
     @given(
@@ -273,8 +300,35 @@ def test_nonfinite_numbers_rejected(call):
         call()
 
 
+@pytest.mark.parametrize(
+    "tolerance, speed, message",
+    [
+        (0.0, 343.0, "tolerance_ms must be > 0, got 0.0"),
+        (30.0, 0.0, "speed of sound must be > 0, got 0.0"),
+        (30.0, INF, "speed of sound must be > 0, got inf"),
+    ],
+    ids=["tolerance-0", "speed-0", "speed-inf"],
+)
+def test_plan_range_edges_rejected(tolerance, speed, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        DelayPlan(tolerance, speed, plan_zones(10.0, 30.0).zones)
+
+
+def test_slow_speed_of_sound_accepted():
+    # 10 m at 0.5 m/s is a 20 s span: 334 zones of at most 60 ms
+    assert len(plan_zones(10.0, 30.0, 0.5).zones) == 334
+
+
 def test_zone_count_capped_before_building():
     with pytest.raises(ValueError, match="zones"):
         plan_zones(60.96, 1e-300)
     with pytest.raises(ValueError, match="zones"):
         plan_zones(60.96, SPAN_200FT / (2 * 100_001))
+
+
+def test_exactly_the_zone_cap_accepted(monkeypatch):
+    # 68.6 m at 343 m/s is exactly 200 ms: 4 zones of 50 ms at a 25 ms tolerance
+    monkeypatch.setattr(planner, "_MAX_ZONES", 4)
+    assert len(plan_zones(68.6, 25.0).zones) == 4
+    with pytest.raises(ValueError, match="^a 200.0 ms span at tolerance 24.99 ms needs more than 4 zones$"):
+        plan_zones(68.6, 24.99)

@@ -1,4 +1,8 @@
+import math
+import re
+import tracemalloc
 import warnings
+import wave
 
 import numpy as np
 import pytest
@@ -54,8 +58,13 @@ class TestGenSine:
         assert len(gen_sine(440.0, 100, 16000)) == 1600
 
     def test_nyquist_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^freq_hz must satisfy 0 <= f < Nyquist \(8000.0 Hz\), got 8000.0$"):
             gen_sine(8000.0, 10, 16000)
+
+    def test_overflowing_phase_is_a_value_error_without_warning(self):
+        # 2 pi f overflows to inf; the first sample's phase would be 0 * inf
+        with pytest.raises(ValueError, match=r"^phase of a 4e\+307 Hz tone over 1 samples at 1\d{308} Hz overflows$"):
+            gen_sine(4e307, 1e-305, 10**308)
 
 
 class TestDelaySignal:
@@ -226,11 +235,35 @@ class TestSignalType:
         gen_white_noise(1, 1000, n)
         assert large_allocation_steps(lambda: gen_white_noise(1, 1000, n), min_bytes=8 * n) <= 2
 
+    @pytest.mark.parametrize("maker", ["gen_sine", "read_wav"])
+    def test_makers_hand_over_their_array(self, tmp_path, maker):
+        # the traced peak is the signal's own 8 * n bytes, plus the file's
+        # 2 * n PCM bytes for read_wav: no working copy and no copy into the
+        # Signal, with n / 2 bytes to spare
+        n = 160_000
+        path = tmp_path / "tone.wav"
+        write_wav(gen_sine(440.0, 10_000, 16000), path)
+        make, held = {
+            "gen_sine": (lambda: gen_sine(440.0, 10_000, 16000), 8 * n),
+            "read_wav": (lambda: read_wav(path), 10 * n),
+        }[maker]
+        tracemalloc.start()
+        try:
+            assert len(make()) == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held <= peak <= held + n // 2
+
     def test_compares_and_hashes_by_identity(self):
         a, b = Signal(np.zeros(3), 16000), Signal(np.zeros(3), 16000)
         assert a == a
         assert a != b
         assert len({a, b, a}) == 2
+
+    def test_power_of_empty_and_one_sample_signals(self):
+        assert Signal(np.zeros(0), 8000).power() == 0.0
+        assert Signal(np.array([0.5]), 8000).power() == 0.25
 
     def test_bad_rate_rejected(self):
         with pytest.raises(ValueError):
@@ -255,6 +288,24 @@ class TestWav:
         assert back.samples[0] == -1.0
         assert back.samples[2] == 32767.0 / 32768.0
 
+    def test_pcm_scale_and_clipping(self, tmp_path):
+        path = tmp_path / "scale.wav"
+        write_wav(Signal(np.array([-1.5, -0.75, 0.0, 0.75, 1.5]), 8000), path)
+        with wave.open(str(path), "rb") as w:
+            assert w.readframes(5) == np.array([-32768, -24576, 0, 24576, 32767], dtype="<i2").tobytes()
+
+    def test_frame_rate_must_be_positive(self, tmp_path):
+        path = tmp_path / "rate.wav"
+        write_wav(gen_white_noise(7, 10, 16000), path)
+        header = bytearray(path.read_bytes())
+        header[24:28] = (1).to_bytes(4, "little")  # the sample rate field of the fmt chunk
+        path.write_bytes(bytes(header))
+        assert read_wav(path).sample_rate_hz == 1
+        header[24:28] = bytes(4)
+        path.write_bytes(bytes(header))
+        with pytest.raises(ValueError, match="^sample_rate_hz must be > 0, got 0$"):
+            read_wav(path)
+
     def test_frame_count_over_cap_rejected_before_reading(self, tmp_path, monkeypatch):
         path = tmp_path / "long.wav"
         write_wav(gen_white_noise(7, 10, 16000), path)
@@ -272,18 +323,82 @@ NAN, INF = float("nan"), float("inf")
     "call",
     [
         lambda: Signal(np.zeros(4), NAN),
-        lambda: gen_white_noise(1, INF, 16000),
         lambda: gen_sine(440.0, INF, 16000),
         lambda: delay_signal(gen_white_noise(1, 10, 16000), INF),
         lambda: add_noise_snr(gen_white_noise(1, 10, 16000), NAN, 0),
         lambda: add_noise_snr(gen_white_noise(1, 10, 16000), INF, 0),
         lambda: add_noise_snr(gen_white_noise(1, 10, 16000), -1e308, 0),
     ],
-    ids=["rate-nan", "noise-duration-inf", "sine-duration-inf", "delay-inf", "snr-nan", "snr-inf", "snr-huge-negative"],
+    ids=["rate-nan", "sine-duration-inf", "delay-inf", "snr-nan", "snr-inf", "snr-huge-negative"],
 )
 def test_nonfinite_numbers_rejected(call):
     with pytest.raises(ValueError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: Signal(np.zeros(4), INF), "sample_rate_hz must be > 0, got inf"),
+        (lambda: gen_white_noise(1, 0.0, INF), "sample_rate_hz must be > 0, got inf"),
+        (lambda: gen_white_noise(1, INF, 16000), "duration_ms must be >= 0, got inf"),
+        (
+            lambda: add_noise_snr(gen_white_noise(1, 10, 16000), math.nextafter(300.0, INF), 0),
+            "snr_db must be within +-300 dB, got 300.00000000000006",
+        ),
+        (
+            lambda: add_noise_snr(gen_white_noise(1, 10, 16000), math.nextafter(-300.0, -INF), 0),
+            "snr_db must be within +-300 dB, got -300.00000000000006",
+        ),
+        (
+            lambda: gen_sine(2e307, 3e-305, 10**308),
+            f"phase of a 2e+307 Hz tone over 3 samples at {10**308} Hz overflows",
+        ),
+    ],
+    ids=[
+        "signal-rate-inf",
+        "noise-rate-inf",
+        "duration-inf",
+        "snr-just-above-300",
+        "snr-just-below-minus-300",
+        "sine-last-phase-overflows",
+    ],
+)
+def test_just_out_of_range_rejected(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, length",
+    [
+        (lambda: Signal(np.zeros(4), 1), 4),
+        (lambda: gen_white_noise(1, 1000.0, 1), 1),
+        (lambda: add_noise_snr(gen_white_noise(1, 10, 16000), 300.0, 0), 160),
+        (lambda: add_noise_snr(gen_white_noise(1, 10, 16000), -300.0, 0), 160),
+        # at 1e200 Hz the phase is finite, though 2 pi f (n - 1) times the rate is not
+        (lambda: gen_sine(1e199, 1e-194, 10**200), 1000),
+        # the last phase, 2 pi f / rate, is finite, though 2 pi f times 2 or 3 pi f is not
+        (lambda: gen_sine(2e307, 2e-305, 10**308), 2),
+    ],
+    ids=[
+        "signal-rate-1",
+        "noise-rate-1",
+        "snr-300",
+        "snr-minus-300",
+        "sine-rate-1e200",
+        "sine-two-samples-at-2e307-hz",
+    ],
+)
+def test_range_edges_accepted(call, length):
+    assert len(call()) == length
+
+
+def test_exactly_the_sample_cap_accepted(monkeypatch):
+    monkeypatch.setattr(signals, "_MAX_SAMPLES", 160)
+    assert len(gen_white_noise(1, 10.0, 16000)) == 160
+    with pytest.raises(ValueError, match="^10.0625 ms at 16000 Hz is more than 160 samples$"):
+        gen_white_noise(1, 10.0625, 16000)
 
 
 @pytest.mark.parametrize(
