@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .broadcast import BroadcastSink, SpecMode, sink_apply_delays
 from .signals import Signal
@@ -351,6 +351,6 @@ def autoconnect_pipeline(
         result = SelectionResult(forced_stream, peak, lag_ms)
     if not result.matched:
         return result, sink
-    updated = sink.with_local_delay(result.lag_ms)
+    updated = replace(sink, local_alignment_delay_ms=result.lag_ms)
     sink_apply_delays(updated, 0.0, mode)
     return result, updated

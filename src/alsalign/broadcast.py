@@ -11,10 +11,10 @@ alignment delay.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
-from .acoustics import SPEED_OF_SOUND_M_PER_S, _convert, _load_json, _read, propagation_delay_ms
+from .acoustics import SPEED_OF_SOUND_M_PER_S, _load_json, _read, propagation_delay_ms
 
 __all__ = [
     "SpecMode",
@@ -104,9 +104,12 @@ class AdvertisingTrain:
 
 @dataclass(frozen=True)
 class BroadcastSource:
+    """Streams, advertising trains, and the rule set that checks them unless the caller names another."""
+
     transport: TransportKind = TransportKind.ELECTROMAGNETIC
     streams: tuple[AudioStreamDescriptor, ...] = ()
     trains: tuple[AdvertisingTrain, ...] = ()
+    mode: SpecMode = SpecMode.STRICT
 
     def __post_init__(self):
         object.__setattr__(self, "streams", tuple(self.streams))
@@ -135,9 +138,6 @@ class BroadcastSink:
             raise ValueError(f"max_presentation_delay_ms must be > 0, got {self.max_presentation_delay_ms}")
         if not 0 <= self.local_alignment_delay_ms < math.inf:
             raise ValueError(f"local_alignment_delay_ms must be >= 0, got {self.local_alignment_delay_ms}")
-
-    def with_local_delay(self, local_alignment_delay_ms: float) -> "BroadcastSink":
-        return replace(self, local_alignment_delay_ms=local_alignment_delay_ms)
 
 
 def default_sink(mode: SpecMode) -> BroadcastSink:
@@ -239,14 +239,10 @@ def airtime_occupancy(source: BroadcastSource) -> float:
     )
 
 
-def source_from_dict(data: dict) -> tuple[BroadcastSource, SpecMode | None]:
-    """Parse the broadcast config schema; returns the source and the file's mode, read beside its fields."""
-    mode = None
-    if isinstance(data, dict) and "mode" in data:
-        data = dict(data)
-        mode = _convert(SpecMode, data.pop("mode"), "mode", "broadcast config")
-    return _read(BroadcastSource, data, "broadcast config"), mode
+def source_from_dict(data: dict) -> BroadcastSource:
+    """Parse the broadcast config schema; unknown keys are rejected."""
+    return _read(BroadcastSource, data, "broadcast config")
 
 
-def load_broadcast_config(path) -> tuple[BroadcastSource, SpecMode | None]:
+def load_broadcast_config(path) -> BroadcastSource:
     return source_from_dict(_load_json(path))

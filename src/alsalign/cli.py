@@ -33,10 +33,6 @@ def fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
-def _round6(x: float) -> float:
-    return float(fmt(x))
-
-
 def _ceil6(x: float) -> float:
     """Round up at the 6th significant digit (never below the true value)."""
     if x == 0:
@@ -51,7 +47,7 @@ def _ceil6(x: float) -> float:
 def _json_ready(value):
     """Round all floats to the 6-significant-digit grid before dumping."""
     if isinstance(value, float):
-        return _round6(value)
+        return float(fmt(value))
     if isinstance(value, dict):
         return {k: _json_ready(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -240,8 +236,8 @@ def run_autoconnect(args: argparse.Namespace) -> int:
 
 
 def run_validate(args: argparse.Namespace) -> int:
-    source, file_mode = _load(broadcast.load_broadcast_config, args.config, "broadcast config")
-    mode = broadcast.SpecMode(args.mode) if args.mode is not None else file_mode or broadcast.SpecMode.STRICT
+    source = _load(broadcast.load_broadcast_config, args.config, "broadcast config")
+    mode = source.mode if args.mode is None else broadcast.SpecMode(args.mode)
     violations = broadcast.validate_config(source, mode)
     occupancy = broadcast.airtime_occupancy(source)
     if violations:

@@ -11,7 +11,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .acoustics import SPEED_OF_SOUND_M_PER_S, Venue, _load_json, _read, delay_map, propagation_delay_ms
+from .acoustics import SPEED_OF_SOUND_M_PER_S, SeatDelay, Venue, _load_json, _read, delay_map, propagation_delay_ms
 from .perception import DistortionClass, classify_residual
 
 __all__ = [
@@ -149,16 +149,13 @@ def residual_delay_ms(acoustic_delay_ms: float, presentation_delay_ms: float) ->
 
 
 @dataclass(frozen=True)
-class SeatAssignment:
-    """Per-seat verification row; zone fields are None when uncovered."""
+class SeatAssignment(SeatDelay):
+    """Per-seat verification row: the delay_map row, plus its zone, residual and class, all None when uncovered."""
 
-    seat_id: str
-    distance_m: float
-    acoustic_delay_ms: float
-    zone_index: int | None
-    presentation_delay_ms: float | None
-    residual_ms: float | None
-    distortion: DistortionClass | None
+    zone_index: int | None = None
+    presentation_delay_ms: float | None = None
+    residual_ms: float | None = None
+    distortion: DistortionClass | None = None
 
     @property
     def covered(self) -> bool:
@@ -167,8 +164,12 @@ class SeatAssignment:
 
 @dataclass(frozen=True)
 class PlanVerification:
-    max_abs_residual_ms: float
     seats: tuple[SeatAssignment, ...]
+
+    @property
+    def max_abs_residual_ms(self) -> float:
+        """The largest |residual| over the covered seats; 0.0 when none is covered."""
+        return max((abs(s.residual_ms) for s in self.seats if s.covered), default=0.0)
 
     @property
     def uncovered_seat_ids(self) -> list[str]:
@@ -187,17 +188,13 @@ def verify_plan(venue: Venue, plan: DelayPlan) -> PlanVerification:
             f"venue speed {venue.speed_of_sound_m_per_s} != plan speed {plan.speed_of_sound_m_per_s}"
         )
     rows = []
-    max_abs = 0.0
     for entry in delay_map(venue):
         try:
             zone = zone_for_delay(plan, entry.acoustic_delay_ms)
         except UncoveredDelayError:
-            rows.append(
-                SeatAssignment(entry.seat_id, entry.distance_m, entry.acoustic_delay_ms, None, None, None, None)
-            )
+            rows.append(SeatAssignment(entry.seat_id, entry.distance_m, entry.acoustic_delay_ms))
             continue
         residual = residual_delay_ms(entry.acoustic_delay_ms, zone.presentation_delay_ms)
-        max_abs = max(max_abs, abs(residual))
         rows.append(
             SeatAssignment(
                 entry.seat_id,
@@ -209,7 +206,7 @@ def verify_plan(venue: Venue, plan: DelayPlan) -> PlanVerification:
                 classify_residual(residual),
             )
         )
-    return PlanVerification(max_abs, tuple(rows))
+    return PlanVerification(tuple(rows))
 
 
 def plan_to_dict(plan: DelayPlan) -> dict:

@@ -8,6 +8,7 @@ repeated calls are bit-identical.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -30,6 +31,8 @@ __all__ = [
 
 # checked before any signal is allocated or read; 625 s at 16 kHz
 _MAX_SAMPLES = 10_000_000
+# a 16-bit mono WAV header holds the byte rate, 2 bytes per sample, in 32 bits
+_MAX_WAV_RATE_HZ = 2**31 - 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,7 +46,8 @@ class Signal:
     sample_rate_hz: int
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
+        # an int rate above the float range would overflow every duration it is multiplied with
+        if not 0 < self.sample_rate_hz <= sys.float_info.max:
             raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
         import numpy as np
 
@@ -92,7 +96,7 @@ def _own(samples: np.ndarray, sample_rate_hz: int) -> Signal:
 def _num_samples(duration_ms: float, sample_rate_hz: int) -> int:
     if not 0 <= duration_ms < math.inf:
         raise ValueError(f"duration_ms must be >= 0, got {duration_ms}")
-    if not 0 < sample_rate_hz < math.inf:
+    if not 0 < sample_rate_hz <= sys.float_info.max:
         raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
     n = duration_ms * sample_rate_hz / 1000.0
     if not n <= _MAX_SAMPLES:
@@ -192,6 +196,8 @@ def add_noise_snr(sig: Signal, snr_db: float, seed: int) -> Signal:
 
 def write_wav(sig: Signal, path) -> None:
     """16-bit PCM mono RIFF; amplitudes map linearly to [-1, 1)."""
+    if not sig.sample_rate_hz <= _MAX_WAV_RATE_HZ:
+        raise ValueError(f"a 16-bit WAV header holds at most {_MAX_WAV_RATE_HZ} Hz, got {sig.sample_rate_hz} Hz")
     import wave
 
     import numpy as np

@@ -216,8 +216,7 @@ class TestBroadcastConfigFile:
         }
         path = tmp_path / "bc.json"
         path.write_text(json.dumps(cfg))
-        source, mode = load_broadcast_config(path)
-        assert mode is SpecMode.STRICT
+        source = load_broadcast_config(path)
         # absent keys take the dataclass defaults; repr also pins int against float
         expected = BroadcastSource(
             TransportKind.ELECTROMAGNETIC,
@@ -226,12 +225,13 @@ class TestBroadcastConfigFile:
                 AdvertisingTrain("t1", "s1", 30.0, "lc3-48-2", "stereo", 0.01),
                 AdvertisingTrain("t2", "s2", 5.0, "", "", 0.01),
             ),
+            SpecMode.STRICT,
         )
         assert repr(source) == repr(expected)
 
     def test_mode_is_optional(self):
-        source, mode = source_from_dict({"streams": [], "trains": []})
-        assert mode is None
+        source = source_from_dict({"streams": [], "trains": []})
+        assert source.mode is SpecMode.STRICT
         assert source.streams == ()
 
     def test_unknown_key_rejected(self):
@@ -260,11 +260,11 @@ class TestBroadcastConfigFile:
         assert str(err.value) == message
 
     def test_mode_and_transport_read_in_any_case(self):
-        source, mode = source_from_dict({"mode": "STRICT", "transport": "Ultrasound"})
-        assert (mode, source.transport) == (SpecMode.STRICT, TransportKind.ULTRASOUND)
+        source = source_from_dict({"mode": "AMENDED", "transport": "Ultrasound"})
+        assert (source.mode, source.transport) == (SpecMode.AMENDED, TransportKind.ULTRASOUND)
 
     def test_defaults_applied(self):
-        source, _ = source_from_dict(
+        source = source_from_dict(
             {
                 "streams": [{"id": "s1", "sample_rate_hz": 48000}],
                 "trains": [{"id": "t1", "target_stream_id": "s1", "presentation_delay_ms": 0}],

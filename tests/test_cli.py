@@ -744,6 +744,16 @@ class TestOutOfRangeInputs:
                 id="sample-cap-rate",
             ),
             pytest.param(
+                ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", f"--sample-rate-hz={10**309}", "--out", "{tmp}/r.json"],
+                f"sample_rate_hz must be > 0, got {10**309}",
+                id="rate-past-float-range",
+            ),
+            pytest.param(
+                ["autoconnect", "--mic", f"sine:1:1:{10**309}", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
+                f"bad synthetic signal spec 'sine:1:1:{10**309}': sample_rate_hz must be > 0, got {10**309}",
+                id="mic-rate-past-float-range",
+            ),
+            pytest.param(
                 ["plan", "--venue", "{tmp}/far_seat.json", "--out", "{tmp}/p.json"],
                 "propagation delay over 1e+308 m overflows",
                 id="seat-at-1e308-m",

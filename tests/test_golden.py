@@ -4,12 +4,15 @@ QUICK_START is the README's quick-start block, with absolute paths for
 the demo files and the golden plan. bench/golden/ holds the stdout and
 the output file of each invocation, as the benchmark checks them; this
 test only reads that directory. Each invocation runs in-process, as a
-fresh `python -m alsalign` process, and as a fresh process with numpy's
+fresh `python -m alsalign` process, as a fresh process with numpy's
 SIMD kernels held to the x86-64-v2 baseline, so that the bytes do not
-depend on which kernels numpy picks.
+depend on which kernels numpy picks, and through the `alsalign` script
+that `pip install -e .` puts on PATH, when there is one.
 """
 
 import shlex
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -50,10 +53,20 @@ ABOVE_BASELINE = ("X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR")
 CPU_FEATURES = getattr(np._core._multiarray_umath, "__cpu_features__", {})
 
 
-@pytest.fixture(params=["in-process", "python-m", "python-m-baseline-simd"])
+@pytest.fixture(params=["in-process", "python-m", "python-m-baseline-simd", "alsalign-script"])
 def run(request, tmp_path, monkeypatch, capsys, fresh_process):
     """Run an argv from an empty directory; return (exit code, stdout, stderr) as bytes."""
     monkeypatch.chdir(tmp_path)
+    if request.param == "alsalign-script":
+        script = shutil.which("alsalign")
+        if script is None:
+            pytest.skip("no alsalign script on PATH; pip install -e . writes one")
+
+        def installed(argv):  # the entry a user runs
+            done = subprocess.run([script, *argv], capture_output=True)
+            return done.returncode, done.stdout, done.stderr
+
+        return installed
     env = None
     if request.param == "python-m-baseline-simd":
         if not any(CPU_FEATURES.get(feature) for feature in ABOVE_BASELINE):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from alsalign import perception
 from alsalign.perception import (
     DistortionClass,
     classify_residual,
@@ -162,19 +163,23 @@ NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
-    "call",
+    "call, message",
     [
-        lambda: comb_filter_magnitude(NAN, 1.0, 100.0),
-        lambda: comb_filter_magnitude(1.0, INF, 100.0),
-        lambda: comb_filter_magnitude(1.0, 0.5, NAN),
-        lambda: comb_filter_magnitude(1.0, 0.5, -INF),
-        lambda: notch_frequencies(NAN, 8000.0),
-        lambda: notch_frequencies(INF, 8000.0),
-        lambda: notch_frequencies(1.0, NAN),
-        lambda: notch_frequencies(1e9, 8000.0),
+        (lambda: comb_filter_magnitude(NAN, 1.0, 100.0), "delay_ms must be >= 0, got nan"),
+        # past the check, math.cos(inf) would raise a ValueError of its own
+        (lambda: comb_filter_magnitude(INF, 1.0, 100.0), "delay_ms must be >= 0, got inf"),
+        (lambda: comb_filter_magnitude(1.0, INF, 100.0), "gain must be >= 0, got inf"),
+        (lambda: comb_filter_magnitude(1.0, 0.5, NAN), "freq_hz must be finite, got nan"),
+        (lambda: comb_filter_magnitude(1.0, 0.5, -INF), "freq_hz must be finite, got -inf"),
+        (lambda: notch_frequencies(NAN, 8000.0), "delay_ms must be >= 0, got nan"),
+        # past the check, the notch cap would reject it with its own message
+        (lambda: notch_frequencies(INF, 8000.0), "delay_ms must be >= 0, got inf"),
+        (lambda: notch_frequencies(1.0, NAN), "max_freq_hz must not be NaN, got nan"),
+        (lambda: notch_frequencies(1e9, 8000.0), "a 1000000000.0 ms delay has more than 1000000 notches up to 8000.0 Hz"),
     ],
     ids=[
         "comb-delay-nan",
+        "comb-delay-inf",
         "comb-gain-inf",
         "comb-freq-nan",
         "comb-freq-minus-inf",
@@ -184,6 +189,16 @@ NAN, INF = float("nan"), float("inf")
         "notch-count-cap",
     ],
 )
-def test_nonfinite_numbers_rejected(call):
-    with pytest.raises(ValueError):
+def test_nonfinite_numbers_rejected(call, message):
+    with pytest.raises(ValueError) as err:
         call()
+    assert str(err.value) == message
+
+
+def test_exactly_the_notch_cap_accepted(monkeypatch):
+    # 1 ms has a notch every 1000 Hz from 500 Hz: 10 up to 10,000 Hz
+    monkeypatch.setattr(perception, "_MAX_NOTCHES", 10)
+    assert len(notch_frequencies(1.0, 10_000.0)) == 10
+    with pytest.raises(ValueError) as err:
+        notch_frequencies(1.0, 10_001.0)
+    assert str(err.value) == "a 1.0 ms delay has more than 10 notches up to 10001.0 Hz"

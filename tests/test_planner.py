@@ -177,6 +177,11 @@ class TestVerifyPlan:
         assert report.uncovered_seat_ids == ["FAR"]
         assert not report.seats[0].covered
 
+    def test_no_covered_seat_gives_zero_max_residual(self):
+        plan = plan_zones(60.96, 30.0, 343.0)
+        venue = Venue((Position(0.0, 0.0),), (Seat("FAR", Position(0.0, 100.0)),))
+        assert verify_plan(venue, plan).max_abs_residual_ms == 0.0
+
     def test_speed_mismatch_rejected(self):
         plan = plan_zones(60.96, 30.0, 343.0)
         venue = Venue((Position(0.0, 0.0),), (), speed_of_sound_m_per_s=320.0)

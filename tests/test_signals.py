@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 import wave
@@ -306,6 +307,16 @@ class TestWav:
         with pytest.raises(ValueError, match="^sample_rate_hz must be > 0, got 0$"):
             read_wav(path)
 
+    def test_rate_beyond_the_header_rejected_before_the_file_is_made(self, tmp_path):
+        # the header's 32-bit byte rate holds 2 bytes per sample up to 2**31 - 1 Hz
+        path = tmp_path / "fast.wav"
+        write_wav(Signal(np.zeros(4), 2**31 - 1), path)
+        assert read_wav(path).sample_rate_hz == 2**31 - 1
+        path.unlink()
+        with pytest.raises(ValueError, match="^a 16-bit WAV header holds at most 2147483647 Hz, got 2147483648 Hz$"):
+            write_wav(Signal(np.zeros(4), 2**31), path)
+        assert not path.exists()
+
     def test_frame_count_over_cap_rejected_before_reading(self, tmp_path, monkeypatch):
         path = tmp_path / "long.wav"
         write_wav(gen_white_noise(7, 10, 16000), path)
@@ -341,6 +352,9 @@ def test_nonfinite_numbers_rejected(call):
     [
         (lambda: Signal(np.zeros(4), INF), "sample_rate_hz must be > 0, got inf"),
         (lambda: gen_white_noise(1, 0.0, INF), "sample_rate_hz must be > 0, got inf"),
+        # an int past the float range is refused here, not left to overflow a duration product
+        (lambda: Signal(np.zeros(4), 10**309), f"sample_rate_hz must be > 0, got {10**309}"),
+        (lambda: gen_white_noise(1, 1.0, 10**309), f"sample_rate_hz must be > 0, got {10**309}"),
         (lambda: gen_white_noise(1, INF, 16000), "duration_ms must be >= 0, got inf"),
         (
             lambda: add_noise_snr(gen_white_noise(1, 10, 16000), math.nextafter(300.0, INF), 0),
@@ -358,6 +372,8 @@ def test_nonfinite_numbers_rejected(call):
     ids=[
         "signal-rate-inf",
         "noise-rate-inf",
+        "signal-rate-past-float-range",
+        "noise-rate-past-float-range",
         "duration-inf",
         "snr-just-above-300",
         "snr-just-below-minus-300",
@@ -374,6 +390,8 @@ def test_just_out_of_range_rejected(call, message):
     [
         (lambda: Signal(np.zeros(4), 1), 4),
         (lambda: gen_white_noise(1, 1000.0, 1), 1),
+        (lambda: Signal(np.zeros(4), sys.float_info.max), 4),
+        (lambda: gen_white_noise(1, 0.0, sys.float_info.max), 0),
         (lambda: add_noise_snr(gen_white_noise(1, 10, 16000), 300.0, 0), 160),
         (lambda: add_noise_snr(gen_white_noise(1, 10, 16000), -300.0, 0), 160),
         # at 1e200 Hz the phase is finite, though 2 pi f (n - 1) times the rate is not
@@ -384,6 +402,8 @@ def test_just_out_of_range_rejected(call, message):
     ids=[
         "signal-rate-1",
         "noise-rate-1",
+        "signal-rate-float-max",
+        "noise-rate-float-max",
         "snr-300",
         "snr-minus-300",
         "sine-rate-1e200",
