@@ -9,7 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from typing import get_args, get_origin, get_type_hints
 
@@ -42,9 +42,8 @@ class Position:
 
 
 @dataclass(frozen=True)
-class Seat:
-    id: str
-    position: Position
+class Seat(Position):
+    id: str = field(kw_only=True)
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,7 @@ def delay_map(venue: Venue) -> list[SeatDelay]:
     """Per-seat first arrival, sorted by seat id: distance to the nearest loudspeaker and its delay."""
     rows = []
     for seat in sorted(venue.seats, key=lambda s: s.id):
-        distance = min(seat.position.distance_to(ls) for ls in venue.loudspeakers)
+        distance = min(seat.distance_to(ls) for ls in venue.loudspeakers)
         delay = propagation_delay_ms(distance, venue.speed_of_sound_m_per_s)
         rows.append(SeatDelay(seat.id, distance, delay))
     return rows
@@ -129,41 +128,25 @@ def _read_array(kind, value, key: str, where: str) -> list:
 
 @cache
 def _schema(cls):
-    """cls's config keys, sorted and each mapped to whether it is required, and build(entry, where).
+    """cls's config keys, sorted and each mapped to whether it is required, and (name, kind, read) per field.
 
     A field without a default is a required key. Its annotation says how it
-    is read: a tuple[X, ...] from a JSON array of X entries, any other
-    dataclass (a seat's position) from the entry's own keys, the rest by
+    is read: a tuple[X, ...] from a JSON array of X entries, the rest by
     _convert.
     """
     keys, parts, hints = {}, [], get_type_hints(cls)
     for f in fields(cls):
-        kind = hints[f.name]
-        flat, read = is_dataclass(kind), _convert
-        if flat:
-            inner_keys, read = _schema(kind)
-            keys.update(inner_keys)
-        else:
-            keys[f.name] = f.default is MISSING
+        kind, read = hints[f.name], _convert
+        keys[f.name] = f.default is MISSING
         if get_origin(kind) is tuple:
             kind, read = get_args(kind)[0], _read_array
-        parts.append((f.name, flat, kind, read))
-
-    def build(entry, where):
-        values = {}
-        for name, flat, kind, read in parts:
-            if flat:
-                values[name] = read(entry, where)
-            elif name in entry:
-                values[name] = read(kind, entry[name], name, where)
-        return cls(**values)
-
-    return dict(sorted(keys.items())), build
+        parts.append((f.name, kind, read))
+    return dict(sorted(keys.items())), parts
 
 
 def _read(cls, entry, where: str):
     """A cls read from the config object entry, named where in messages."""
-    keys, build = _schema(cls)
+    keys, parts = _schema(cls)
     if not isinstance(entry, dict):
         raise ValueError(f"{where} must be a JSON object")
     for key in entry:
@@ -172,7 +155,7 @@ def _read(cls, entry, where: str):
     for key, required in keys.items():
         if required and key not in entry:
             raise ValueError(f"missing key {key!r} in {where}")
-    return build(entry, where)
+    return cls(**{name: read(kind, entry[name], name, where) for name, kind, read in parts if name in entry})
 
 
 def venue_from_dict(data: dict) -> Venue:

@@ -151,17 +151,14 @@ def run_map(args: argparse.Namespace) -> int:
 
 def run_simulate(args: argparse.Namespace) -> int:
     venue = _load(acoustics.load_venue, args.venue, "venue file")
-    seat = next((row for row in acoustics.delay_map(venue) if row.seat_id == args.seat), None)
+    plan = None if args.plan is None else _load(planner.load_plan, args.plan, "plan file")
+    rows = acoustics.delay_map(venue) if plan is None else planner.verify_plan(venue, plan).seats
+    seat = next((row for row in rows if row.seat_id == args.seat), None)
     if seat is None:
         raise ValueError(f"no seat {args.seat!r} in venue")
-    residual = seat.acoustic_delay_ms  # uncompensated unless a plan zone covers the seat
-    uncovered = False
-    if args.plan is not None:
-        plan = _load(planner.load_plan, args.plan, "plan file")
-        assigned = next(row for row in planner.verify_plan(venue, plan).seats if row.seat_id == args.seat)
-        uncovered = not assigned.covered
-        if assigned.covered:
-            residual = assigned.residual_ms
+    uncovered = plan is not None and not seat.covered
+    # uncompensated unless a plan zone covers the seat
+    residual = seat.acoustic_delay_ms if plan is None or uncovered else seat.residual_ms
     program = signals.gen_white_noise(args.seed, SIMULATE_PROGRAM_MS, args.sample_rate_hz)
     ear = perception.ear_signal(program, program, residual)
     distortion = perception.classify_residual(residual).value

@@ -46,9 +46,7 @@ class Signal:
     sample_rate_hz: int
 
     def __post_init__(self):
-        # an int rate above the float range would overflow every duration it is multiplied with
-        if not 0 < self.sample_rate_hz <= sys.float_info.max:
-            raise ValueError(f"sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        _check_rate(self.sample_rate_hz)
         import numpy as np
 
         arr = np.asarray(self.samples, dtype=np.float64)
@@ -74,6 +72,15 @@ class Signal:
         return math.sqrt(self.power())
 
 
+def _check_rate(sample_rate_hz: int) -> None:
+    # an int rate above the float range would overflow every duration it is multiplied with
+    if not 0 < sample_rate_hz <= sys.float_info.max:
+        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+    # a WAV header holds whole hertz, so a fractional rate would not survive a round trip
+    if sample_rate_hz % 1:
+        raise ValueError(f"sample_rate_hz must be a whole number of hertz, got {sample_rate_hz}")
+
+
 def _require_finite(arr: np.ndarray) -> None:
     import numpy as np
 
@@ -96,8 +103,7 @@ def _own(samples: np.ndarray, sample_rate_hz: int) -> Signal:
 def _num_samples(duration_ms: float, sample_rate_hz: int) -> int:
     if not 0 <= duration_ms < math.inf:
         raise ValueError(f"duration_ms must be >= 0, got {duration_ms}")
-    if not 0 < sample_rate_hz <= sys.float_info.max:
-        raise ValueError(f"sample_rate_hz must be > 0, got {sample_rate_hz}")
+    _check_rate(sample_rate_hz)
     n = duration_ms * sample_rate_hz / 1000.0
     if not n <= _MAX_SAMPLES:
         raise ValueError(f"{duration_ms} ms at {sample_rate_hz} Hz is more than {_MAX_SAMPLES} samples")
@@ -224,8 +230,7 @@ def read_wav(path) -> Signal:
         n, rate = w.getnframes(), w.getframerate()
         if n > _MAX_SAMPLES:
             raise ValueError(f"{n} frames at {rate} Hz is more than {_MAX_SAMPLES} samples")
-        if not rate > 0:
-            raise ValueError(f"sample_rate_hz must be > 0, got {rate}")
+        _check_rate(rate)
         samples = np.frombuffer(w.readframes(n), dtype="<i2").astype(np.float64)
     samples /= 32768.0
     return _own(samples, rate)

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -8,11 +9,14 @@ from alsalign.acoustics import (
     Position,
     Seat,
     Venue,
+    _schema,
     delay_map,
     load_venue,
     propagation_delay_ms,
     venue_from_dict,
 )
+from alsalign.broadcast import AdvertisingTrain, AudioStreamDescriptor, BroadcastSource
+from alsalign.planner import DelayPlan, Zone
 
 
 class TestPropagationDelay:
@@ -53,27 +57,27 @@ def venue_one_speaker(seats):
 
 class TestSeatAcousticDelay:
     def test_10m_seat(self):
-        venue = venue_one_speaker([Seat("A1", Position(0.0, 10.0))])
+        venue = venue_one_speaker([Seat(0.0, 10.0, id="A1")])
         assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(10000.0 / 343.0)
 
     def test_equidistant_speakers(self):
         venue = Venue(
             loudspeakers=(Position(-3.0, 0.0), Position(3.0, 0.0)),
-            seats=(Seat("A1", Position(0.0, 4.0)),),
+            seats=(Seat(0.0, 4.0, id="A1"),),
         )
         # both speakers are 5 m away
         assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(5000.0 / 343.0)
 
     def test_distance_is_euclidean(self):
-        speaker, seat = Position(3.0, 4.0), Position(6.0, 8.0)
+        speaker, seat = Position(3.0, 4.0), Seat(6.0, 8.0, id="A1")
         assert speaker.distance_to(seat) == seat.distance_to(speaker) == 5.0
-        venue = Venue(loudspeakers=(speaker,), seats=(Seat("A1", seat),))
+        venue = Venue(loudspeakers=(speaker,), seats=(seat,))
         assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(5000.0 / 343.0)
 
     def test_first_arrival_wins(self):
         venue = Venue(
             loudspeakers=(Position(0.0, 5.0), Position(0.0, 20.0)),
-            seats=(Seat("A1", Position(0.0, 0.0)),),
+            seats=(Seat(0.0, 0.0, id="A1"),),
         )
         assert delay_map(venue)[0].acoustic_delay_ms == pytest.approx(5000.0 / 343.0)
 
@@ -82,9 +86,9 @@ class TestDelayMap:
     def test_sorted_rows(self):
         venue = venue_one_speaker(
             [
-                Seat("B2", Position(0.0, 2.0)),
-                Seat("A1", Position(0.0, 1.0)),
-                Seat("C3", Position(0.0, 3.0)),
+                Seat(0.0, 2.0, id="B2"),
+                Seat(0.0, 1.0, id="A1"),
+                Seat(0.0, 3.0, id="C3"),
             ]
         )
         rows = delay_map(venue)
@@ -92,7 +96,7 @@ class TestDelayMap:
         assert rows[0].distance_m == pytest.approx(1.0)
 
     def test_200ft_row(self):
-        venue = venue_one_speaker([Seat("Z", Position(0.0, 60.96))])
+        venue = venue_one_speaker([Seat(0.0, 60.96, id="Z")])
         (row,) = delay_map(venue)
         assert row.acoustic_delay_ms == pytest.approx(1000.0 * 60.96 / 343.0)
 
@@ -113,15 +117,15 @@ class TestVenueType:
 
     def test_duplicate_seat_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            venue_one_speaker([Seat("A", Position(0, 1)), Seat("A", Position(0, 2))])
+            venue_one_speaker([Seat(0, 1, id="A"), Seat(0, 2, id="A")])
         # each repeated id once, sorted
-        seats = [Seat(i, Position(0, k)) for k, i in enumerate(["C", "A", "B", "C", "A", "C"])]
+        seats = [Seat(0, k, id=i) for k, i in enumerate(["C", "A", "B", "C", "A", "C"])]
         with pytest.raises(ValueError, match=r"^duplicate seat ids: \['A', 'C'\]$"):
             venue_one_speaker(seats)
 
     def test_one_duplicate_among_many_seats_rejected_quickly(self):
         # listing the duplicates used to take one count per seat: 9 s here
-        seats = [Seat(f"S{k}", Position(0, k)) for k in range(20_000)] + [Seat("S0", Position(1, 0))]
+        seats = [Seat(0, k, id=f"S{k}") for k in range(20_000)] + [Seat(1, 0, id="S0")]
         start = time.perf_counter()
         with pytest.raises(ValueError, match=r"^duplicate seat ids: \['S0'\]$"):
             venue_one_speaker(seats)
@@ -143,7 +147,7 @@ class TestVenueConfig:
         path.write_text(json.dumps(cfg))
         venue = load_venue(path)
         # repr also pins int against float
-        expected = Venue((Position(0.0, 0.0), Position(3.0, -2.5)), (Seat("A1", Position(0.0, 5.0)),), 340.0)
+        expected = Venue((Position(0.0, 0.0), Position(3.0, -2.5)), (Seat(0.0, 5.0, id="A1"),), 340.0)
         assert repr(venue) == repr(expected)
 
     def test_speed_defaults_to_343(self):
@@ -170,6 +174,19 @@ class TestVenueConfig:
         loudspeakers = array(({"x_m": 0, "y_m": 0}, {"x_m": 1}))
         with pytest.raises(ValueError, match=r"^missing key 'y_m' in loudspeakers\[1\]$"):
             venue_from_dict({"loudspeakers": loudspeakers})
+
+
+@pytest.mark.parametrize(
+    "cls",
+    [Venue, Position, Seat, DelayPlan, Zone, BroadcastSource, AudioStreamDescriptor, AdvertisingTrain],
+    ids=lambda cls: cls.__name__,
+)
+def test_config_keys_are_the_fields(cls):
+    # one reading rule per key: each key is a field, required exactly when the field has no default
+    keys, _ = _schema(cls)
+    expected = {f.name: f.default is MISSING and f.default_factory is MISSING for f in fields(cls)}
+    assert list(keys) == sorted(expected)
+    assert keys == expected
 
 
 NAN, INF = float("nan"), float("inf")

@@ -587,7 +587,7 @@ class TestInputErrorMessages:
             ),
             (
                 "venue file",
-                lambda cfg: cfg["seats"].__setitem__(0, {"id": None, "x_m": "3", "y_m": False}),
+                lambda cfg: cfg["seats"].__setitem__(0, {"id": None, "x_m": "3", "y_m": 0}),
                 "key 'id' in seats[0] must be a JSON string, got null",
             ),
             (
@@ -682,6 +682,10 @@ class TestOutOfRangeInputs:
         for name, cfg in configs.items():
             (tmp_path / name).write_text(json.dumps(cfg))
         (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        # json reads 1e999 as inf
+        (tmp_path / "inf_seat.json").write_text(
+            '{"loudspeakers": [{"x_m": 0, "y_m": 0}], "seats": [{"id": "A", "x_m": 1e999, "y_m": 0}]}'
+        )
         for name, channels, width in (("stereo.wav", 2, 2), ("8bit.wav", 1, 1)):
             with wave.open(str(tmp_path / name), "wb") as w:
                 w.setnchannels(channels)
@@ -739,6 +743,17 @@ class TestOutOfRangeInputs:
                 id="unknown-seat",
             ),
             pytest.param(
+                ["simulate", "--venue", str(DEMO_VENUE), "--seat", "ZZ", "--plan", "{tmp}/demo_plan.json", "--out", "{tmp}/r.json"],
+                "no seat 'ZZ' in venue",
+                id="unknown-seat-with-plan",
+            ),
+            pytest.param(
+                # the plan is read before the seat is looked up
+                ["simulate", "--venue", str(DEMO_VENUE), "--seat", "ZZ", "--plan", "{tmp}/no_zones.json", "--out", "{tmp}/r.json"],
+                "bad plan file {tmp}/no_zones.json: plan needs at least one zone",
+                id="unknown-seat-and-bad-plan",
+            ),
+            pytest.param(
                 ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", "--sample-rate-hz=10000000000", "--out", "{tmp}/r.json"],
                 "1000.0 ms at 10000000000 Hz is more than 10000000 samples",
                 id="sample-cap-rate",
@@ -752,6 +767,11 @@ class TestOutOfRangeInputs:
                 ["autoconnect", "--mic", f"sine:1:1:{10**309}", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
                 f"bad synthetic signal spec 'sine:1:1:{10**309}': sample_rate_hz must be > 0, got {10**309}",
                 id="mic-rate-past-float-range",
+            ),
+            pytest.param(
+                ["plan", "--venue", "{tmp}/inf_seat.json", "--out", "{tmp}/p.json"],
+                "bad venue file {tmp}/inf_seat.json: coordinates must be finite, got (inf, 0.0)",
+                id="seat-at-inf",
             ),
             pytest.param(
                 ["plan", "--venue", "{tmp}/far_seat.json", "--out", "{tmp}/p.json"],

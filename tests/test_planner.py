@@ -133,7 +133,7 @@ class TestResidual:
 
 def uniform_venue(n_seats: int, max_m: float) -> Venue:
     seats = tuple(
-        Seat(f"S{i:04d}", Position(0.0, max_m * i / (n_seats - 1))) for i in range(n_seats)
+        Seat(0.0, max_m * i / (n_seats - 1), id=f"S{i:04d}") for i in range(n_seats)
     )
     return Venue(loudspeakers=(Position(0.0, 0.0),), seats=seats)
 
@@ -157,7 +157,7 @@ class TestVerifyPlan:
         plan = plan_zones(60.96, 30.0, 343.0)
         mid_delay = plan.zones[1].presentation_delay_ms
         distance = mid_delay * 343.0 / 1000.0
-        venue = Venue((Position(0.0, 0.0),), (Seat("M", Position(0.0, distance)),))
+        venue = Venue((Position(0.0, 0.0),), (Seat(0.0, distance, id="M"),))
         report = verify_plan(venue, plan)
         assert report.seats[0].residual_ms == pytest.approx(0.0, abs=1e-9)
         assert report.seats[0].distortion is DistortionClass.ALIGNED
@@ -165,21 +165,21 @@ class TestVerifyPlan:
     def test_max_residual_below_1ms(self):
         plan = plan_zones(60.96, 30.0, 343.0)
         mid = plan.zones[1].presentation_delay_ms * 343.0 / 1000.0
-        seats = (Seat("A", Position(0.0, mid + 0.1)), Seat("B", Position(0.0, mid - 0.05)))
+        seats = (Seat(0.0, mid + 0.1, id="A"), Seat(0.0, mid - 0.05, id="B"))
         report = verify_plan(Venue((Position(0.0, 0.0),), seats), plan)
         assert report.max_abs_residual_ms == max(abs(s.residual_ms) for s in report.seats)
         assert report.max_abs_residual_ms == pytest.approx(100.0 / 343.0)
 
     def test_seat_beyond_span_is_flagged(self):
         plan = plan_zones(60.96, 30.0, 343.0)
-        venue = Venue((Position(0.0, 0.0),), (Seat("FAR", Position(0.0, 100.0)),))
+        venue = Venue((Position(0.0, 0.0),), (Seat(0.0, 100.0, id="FAR"),))
         report = verify_plan(venue, plan)
         assert report.uncovered_seat_ids == ["FAR"]
         assert not report.seats[0].covered
 
     def test_no_covered_seat_gives_zero_max_residual(self):
         plan = plan_zones(60.96, 30.0, 343.0)
-        venue = Venue((Position(0.0, 0.0),), (Seat("FAR", Position(0.0, 100.0)),))
+        venue = Venue((Position(0.0, 0.0),), (Seat(0.0, 100.0, id="FAR"),))
         assert verify_plan(venue, plan).max_abs_residual_ms == 0.0
 
     def test_speed_mismatch_rejected(self):

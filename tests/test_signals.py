@@ -355,6 +355,10 @@ def test_nonfinite_numbers_rejected(call):
         # an int past the float range is refused here, not left to overflow a duration product
         (lambda: Signal(np.zeros(4), 10**309), f"sample_rate_hz must be > 0, got {10**309}"),
         (lambda: gen_white_noise(1, 1.0, 10**309), f"sample_rate_hz must be > 0, got {10**309}"),
+        # a WAV header holds whole hertz, so a fractional rate is refused rather than rounded
+        (lambda: Signal(np.zeros(4), 8000.5), "sample_rate_hz must be a whole number of hertz, got 8000.5"),
+        (lambda: gen_white_noise(1, 1000.0, 8000.5), "sample_rate_hz must be a whole number of hertz, got 8000.5"),
+        (lambda: gen_sine(440.0, 1000.0, 8000.5), "sample_rate_hz must be a whole number of hertz, got 8000.5"),
         (lambda: gen_white_noise(1, INF, 16000), "duration_ms must be >= 0, got inf"),
         (
             lambda: add_noise_snr(gen_white_noise(1, 10, 16000), math.nextafter(300.0, INF), 0),
@@ -374,6 +378,9 @@ def test_nonfinite_numbers_rejected(call):
         "noise-rate-inf",
         "signal-rate-past-float-range",
         "noise-rate-past-float-range",
+        "signal-rate-fractional",
+        "noise-rate-fractional",
+        "sine-rate-fractional",
         "duration-inf",
         "snr-just-above-300",
         "snr-just-below-minus-300",
@@ -392,6 +399,9 @@ def test_just_out_of_range_rejected(call, message):
         (lambda: gen_white_noise(1, 1000.0, 1), 1),
         (lambda: Signal(np.zeros(4), sys.float_info.max), 4),
         (lambda: gen_white_noise(1, 0.0, sys.float_info.max), 0),
+        (lambda: Signal(np.zeros(4), 16000.0), 4),
+        (lambda: gen_white_noise(1, 1000.0, 11025), 11025),
+        (lambda: gen_sine(440.0, 1000.0, 11025), 11025),
         (lambda: add_noise_snr(gen_white_noise(1, 10, 16000), 300.0, 0), 160),
         (lambda: add_noise_snr(gen_white_noise(1, 10, 16000), -300.0, 0), 160),
         # at 1e200 Hz the phase is finite, though 2 pi f (n - 1) times the rate is not
@@ -404,6 +414,9 @@ def test_just_out_of_range_rejected(call, message):
         "noise-rate-1",
         "signal-rate-float-max",
         "noise-rate-float-max",
+        "signal-rate-whole-float",
+        "noise-rate-odd",
+        "sine-rate-odd",
         "snr-300",
         "snr-minus-300",
         "sine-rate-1e200",
