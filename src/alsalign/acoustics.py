@@ -100,15 +100,18 @@ def _convert(kind, value, key: str, where: str):
     """A config value as a field of class kind: each JSON type rule of the config files.
 
     A number field refuses a bool but reads a numeric string, and an int
-    field refuses a fractional part rather than cut it off. A str or Enum
-    field takes only a JSON string, and an Enum reads it in any case.
+    field refuses a fractional or non-finite number rather than cut it off.
+    A str or Enum field takes only a JSON string, and an Enum reads it in
+    any case.
     """
     if kind is float or kind is int:
-        if isinstance(value, bool):
-            raise ValueError(f"key {key!r} in {where} must be a number, got {json.dumps(value)}")
-        if kind is int and isinstance(value, float) and math.isfinite(value) and not value.is_integer():
-            raise ValueError(f"key {key!r} in {where} must be an integer, got {json.dumps(value)}")
-        return kind(value)
+        try:
+            if isinstance(value, bool) or kind is int and isinstance(value, float) and not value.is_integer():
+                raise ValueError
+            return kind(value)
+        except (ValueError, TypeError, OverflowError):
+            noun = "a number" if kind is float else "an integer"
+            raise ValueError(f"key {key!r} in {where} must be {noun}, got {json.dumps(value)}") from None
     if not isinstance(value, str):
         raise ValueError(f"key {key!r} in {where} must be a JSON string, got {json.dumps(value)}")
     if kind is str:

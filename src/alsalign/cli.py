@@ -17,8 +17,8 @@ from pathlib import Path
 
 # Every layer module is loaded here, not per subcommand: bench/spans.py
 # patches only the alsalign namespaces loaded before its tracing() starts,
-# so a traced CLI process must have them all by then.  decimal, csv and
-# wave, which only some subcommands use, are imported where they are used.
+# so a traced CLI process must have them all by then.  decimal and csv,
+# which only some subcommands use, are imported where they are used.
 from . import acoustics, autoconnect, broadcast, perception, planner, signals
 
 EXIT_OK = 0
@@ -67,7 +67,7 @@ def _write_json(path, payload: dict) -> None:
 
 
 def _load(loader, path, what: str):
-    """Run a JSON file loader, turning every input fault into a ValueError naming the file."""
+    """Run a file loader, turning every input fault into a ValueError naming the file."""
     try:
         return loader(path)
     except FileNotFoundError:
@@ -76,7 +76,7 @@ def _load(loader, path, what: str):
         raise ValueError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ValueError(f"{what} {path} is not valid JSON: {exc}") from None
-    except (ValueError, TypeError, OverflowError) as exc:
+    except ValueError as exc:
         raise ValueError(f"bad {what} {path}: {exc}") from None
 
 
@@ -95,14 +95,7 @@ def parse_signal_source(spec: str) -> signals.Signal:
             return signals.gen_sine(freq, dur, sr)
         except ValueError as exc:
             raise ValueError(f"bad synthetic signal spec {spec!r}: {exc}") from None
-    import wave
-
-    try:
-        return signals.read_wav(spec)
-    except FileNotFoundError:
-        raise ValueError(f"signal source not found: {spec}") from None
-    except (wave.Error, ValueError, EOFError, OSError) as exc:
-        raise ValueError(f"cannot read WAV {spec!r}: {exc}") from None
+    return _load(signals.read_wav, spec, "signal source")
 
 
 def run_plan(args: argparse.Namespace) -> int:

@@ -26,6 +26,9 @@ class SplitMix64:
     """Deterministic 64-bit generator; state advances by a fixed odd gamma."""
 
     def __init__(self, seed: int):
+        # cutting 1.5 or "7" to an int would give the stream of another seed
+        if isinstance(seed, (str, bytes)) or seed % 1:
+            raise ValueError(f"seed must be a whole number, got {seed!r}")
         self._state = int(seed) & _MASK64
 
     def next_u64(self) -> int:

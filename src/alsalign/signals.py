@@ -217,12 +217,18 @@ def write_wav(sig: Signal, path) -> None:
 
 
 def read_wav(path) -> Signal:
-    """Read a 16-bit PCM mono WAV written by write_wav (or equivalent)."""
+    """Read a 16-bit PCM mono WAV written by write_wav (or equivalent); another format raises ValueError."""
     import wave
 
     import numpy as np
 
-    with wave.open(str(path), "rb") as w:
+    try:
+        w = wave.open(str(path), "rb")
+    # wave raises EOFError for a file that ends inside the header, and RuntimeError
+    # for a chunk that runs past the end of the RIFF chunk; neither has a message
+    except (wave.Error, EOFError, RuntimeError) as exc:
+        raise ValueError(f"bad WAV header: {str(exc) or 'truncated'}") from None
+    with w:
         if w.getnchannels() != 1:
             raise ValueError(f"expected mono WAV, got {w.getnchannels()} channels")
         if w.getsampwidth() != 2:

@@ -100,3 +100,13 @@ def test_readme_quick_start_is_the_table():
     documented = [shlex.split(command)[1:] for command in commands if command.startswith("alsalign ")]
     as_written = {VENUE: "demo/venue.json", PLAN: "plan.json", BROADCAST: "demo/broadcast.json"}
     assert documented == [[as_written.get(arg, arg) for arg in argv] for argv, _, _ in QUICK_START.values()]
+
+
+def test_readme_library_example_prints_its_comments(fresh_python):
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    code = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # each print line ends with a comment that gives its output
+    expected = [line.rpartition("# ")[2] for line in code.splitlines() if line.startswith("print(")]
+    assert expected == ["3", "A 120.0"]
+    done = fresh_python(code, check=True)
+    assert done.stdout.splitlines() == expected

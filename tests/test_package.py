@@ -2,12 +2,9 @@
 CLI process loads every layer module, decimal, csv and wave load only in
 the subcommands that use them, and numpy only in the audio subcommands."""
 
-import ast
 import json
 
 import pytest
-
-import alsalign
 
 from test_golden import QUICK_START
 
@@ -51,30 +48,15 @@ def loaded(fresh_python, code: str, *args: str, exit_code=0, **kwargs) -> dict:
         ("alsalign.signals", {"signals", "prng"}),
         ("alsalign.planner", {"planner", "acoustics", "perception"}),
         ("alsalign.cli", LIBRARY | {"cli"}),
-        ("alsalign.plan_zones", LIBRARY),
-        ("alsalign.__all__", LIBRARY),
+        ("assert not hasattr(alsalign, 'plan_zones')", set()),
     ],
-    ids=["import", "dunder", "signals", "planner", "cli", "plan_zones", "__all__"],
+    ids=["import", "dunder", "signals", "planner", "cli", "plan_zones"],
 )
 def test_name_loads_its_module(fresh_python, lookup, modules):
     # no lookup loads numpy: the planning side is pure arithmetic
     report = loaded(fresh_python, f"import alsalign\n{lookup}\n" + REPORT)
     assert set(report["alsalign"]) == modules
     assert report["numpy"] == []
-
-
-def test_star_import_binds_every_public_name(fresh_python):
-    code = "import sys\nfrom alsalign import *\nprint(sorted(k for k in dir() if not k.startswith('_')))\n"
-    done = fresh_python(code, check=True)
-    bound = set(ast.literal_eval(done.stdout.splitlines()[-1])) - {"sys"}
-    assert bound == set(alsalign.__all__)
-    assert len(bound) == 68
-
-
-def test_one_lookup_binds_every_public_name(fresh_python):
-    code = "import alsalign\nalsalign.plan_zones\nprint(sorted(k for k in vars(alsalign) if not k.startswith('_')))\n"
-    done = fresh_python(code, check=True)
-    assert set(ast.literal_eval(done.stdout.splitlines()[-1])) == set(alsalign.__all__)
 
 
 # subcommand -> (deferred standard modules, numpy modules) it loads; the

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from alsalign.prng import SplitMix64
+from alsalign.signals import gen_white_noise
 
 # first outputs of the reference recurrence, frozen from an independent
 # big-integer evaluation of state += 0x9E3779B97F4A7C15 + two mix steps
@@ -69,3 +70,32 @@ def test_seed_wraps_to_64_bits():
 def test_negative_block_length_rejected():
     with pytest.raises(ValueError):
         SplitMix64(0).symmetric_block(-1)
+
+
+@pytest.mark.parametrize("seed", [7.0, np.int64(7), np.uint64(7), np.float64(7.0)], ids=["float", "int64", "uint64", "float64"])
+def test_whole_number_seed_is_the_int_seed(seed):
+    assert SplitMix64(seed).next_u64() == SplitMix64(7).next_u64()
+
+
+@pytest.mark.parametrize(
+    "seed, shown",
+    [
+        (1.5, "1.5"),
+        (-0.5, "-0.5"),
+        ("7", "'7'"),
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (np.float64(7.25), repr(np.float64(7.25))),
+    ],
+    ids=["fraction", "negative-fraction", "string", "nan", "inf", "numpy-fraction"],
+)
+def test_seed_that_is_not_a_whole_number_rejected(seed, shown):
+    # cutting it to an int would give another seed's stream
+    with pytest.raises(ValueError) as exc:
+        SplitMix64(seed)
+    assert str(exc.value) == f"seed must be a whole number, got {shown}"
+
+
+def test_white_noise_seed_is_checked():
+    with pytest.raises(ValueError, match="^seed must be a whole number, got 1.5$"):
+        gen_white_noise(1.5, 10, 8000)
