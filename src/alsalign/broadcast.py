@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .acoustics import SPEED_OF_SOUND_M_PER_S, _load_json, _read, propagation_delay_ms
+from .signals import _check_rate
 
 __all__ = [
     "SpecMode",
@@ -76,8 +77,10 @@ class AudioStreamDescriptor:
     airtime_fraction: float = DEFAULT_STREAM_AIRTIME
 
     def __post_init__(self):
-        if not 0 < self.sample_rate_hz < math.inf:
-            raise ValueError(f"stream {self.id}: sample_rate_hz must be > 0, got {self.sample_rate_hz}")
+        try:
+            _check_rate(self.sample_rate_hz)
+        except ValueError as exc:
+            raise ValueError(f"stream {self.id}: {exc}") from None
         if self.channels not in (1, 2):
             raise ValueError(f"stream {self.id}: channels must be 1 or 2, got {self.channels}")
         if not 0 <= self.airtime_fraction <= 1:

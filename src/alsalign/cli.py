@@ -3,8 +3,8 @@
 All numeric output is formatted at 6 significant digits and files are
 written with \\n line endings, so identical invocations produce
 byte-identical outputs. Exit codes: 0 success/match, 1 clean negative
-result (no match, validation failure), 2 usage or input error or out
-of memory.
+result (no match, validation failure), 2 usage or input error, refused
+sink delay or out of memory, with one error line and no output file.
 """
 
 from __future__ import annotations
@@ -190,22 +190,10 @@ def run_autoconnect(args: argparse.Namespace) -> int:
         if args.sink_buffer_ms is not None
         else broadcast.default_sink(mode)
     )
+    result, updated = autoconnect.autoconnect_pipeline(
+        mic, candidates, sink, mode, args.max_lag_ms, args.threshold, args.force_stream
+    )
     payload: dict = {"mode": mode.value}
-    try:
-        result, updated = autoconnect.autoconnect_pipeline(
-            mic, candidates, sink, mode, args.max_lag_ms, args.threshold, args.force_stream
-        )
-    except broadcast.SinkDelayError as exc:
-        payload.update(
-            {
-                "outcome": "error",
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            }
-        )
-        _write_json(args.out, payload)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     if result.matched:
         payload.update(
             outcome="match",
@@ -300,6 +288,8 @@ def main(argv: list[str] | None = None) -> int:
         return args.run(args)
     except ValueError as exc:  # every usage or input fault, from the library or from this module
         print(f"error: {exc}", file=sys.stderr)
+    except broadcast.SinkDelayError as exc:  # the sink refuses the lag that autoconnect found
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     except MemoryError as exc:  # an input too large for this machine, not a negative result
         print(f"error: out of memory: {exc}", file=sys.stderr)
     return EXIT_ERROR

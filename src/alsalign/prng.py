@@ -29,7 +29,10 @@ class SplitMix64:
         # cutting 1.5 or "7" to an int would give the stream of another seed
         if isinstance(seed, (str, bytes)) or seed % 1:
             raise ValueError(f"seed must be a whole number, got {seed!r}")
-        self._state = int(seed) & _MASK64
+        # and wrapping -1 to 2**64 - 1 would give two seeds one stream
+        self._state = int(seed)
+        if not 0 <= self._state < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self._state}")
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64

@@ -217,7 +217,7 @@ def write_wav(sig: Signal, path) -> None:
 
 
 def read_wav(path) -> Signal:
-    """Read a 16-bit PCM mono WAV written by write_wav (or equivalent); another format raises ValueError."""
+    """Read a 16-bit PCM mono WAV as write_wav writes it; another format or a short file raises ValueError."""
     import wave
 
     import numpy as np
@@ -237,6 +237,9 @@ def read_wav(path) -> Signal:
         if n > _MAX_SAMPLES:
             raise ValueError(f"{n} frames at {rate} Hz is more than {_MAX_SAMPLES} samples")
         _check_rate(rate)
-        samples = np.frombuffer(w.readframes(n), dtype="<i2").astype(np.float64)
+        data = w.readframes(n)
+        if len(data) != 2 * n:
+            raise ValueError(f"bad WAV data: the data chunk holds {len(data) // 2} of {n} frames")
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64)
     samples /= 32768.0
     return _own(samples, rate)

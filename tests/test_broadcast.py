@@ -333,3 +333,18 @@ def test_range_ends_accepted(call):
 def test_zero_sink_buffer_rejected():
     with pytest.raises(ValueError, match="max_presentation_delay_ms must be > 0"):
         BroadcastSink(0.0)
+
+
+@pytest.mark.parametrize(
+    "rate, message",
+    [
+        (8000.5, "stream s: sample_rate_hz must be a whole number of hertz, got 8000.5"),
+        (10**400, f"stream s: sample_rate_hz must be > 0, got {10**400}"),
+    ],
+    ids=["fractional", "past-float-range"],
+)
+def test_stream_rate_follows_the_signal_rate_rule(rate, message):
+    # a stream's rate is a whole number of hertz in the float range, as a Signal's is
+    with pytest.raises(ValueError) as exc:
+        AudioStreamDescriptor("s", rate)
+    assert str(exc.value) == message

@@ -342,26 +342,28 @@ class TestAutoconnectCommand:
         assert sel["stream_id"] == "B"
         assert sel["forced"] is True
 
-    def test_strict_mode_rejects_nonzero_lag(self, tmp_path, capsys):
-        mic = delay_signal(gen_white_noise(7, 1000, 16000), 120.0)
+    @staticmethod
+    def connect_late_mic(tmp_path, *flags):
+        """Exit code and --out path of an autoconnect whose mic is 120 ms behind its one stream."""
         wav = tmp_path / "mic.wav"
-        write_wav(mic, wav)
+        write_wav(delay_signal(gen_white_noise(7, 1000, 16000), 120.0), wav)
         out = tmp_path / "sel.json"
-        rc = main(
-            [
-                "autoconnect",
-                "--mic", str(wav),
-                "--stream", "A=noise:7:1000:16000",
-                "--mode", "strict",
-                "--max-lag-ms", "400",
-                "--out", str(out),
-            ]
-        )
+        argv = ["autoconnect", "--mic", str(wav), "--stream", "A=noise:7:1000:16000", *flags]
+        return main([*argv, "--max-lag-ms", "400", "--out", str(out)]), out
+
+    def test_strict_mode_rejects_nonzero_lag(self, tmp_path, capsys):
+        # a refused sink is an exit-2 run like any other: one error line, no output file
+        rc, out = self.connect_late_mic(tmp_path, "--mode", "strict")
         assert rc == 2
-        assert "ParameterUnsupportedError" in capsys.readouterr().err
-        sel = json.loads(out.read_text())
-        assert sel["outcome"] == "error"
-        assert sel["error"] == "ParameterUnsupportedError"
+        err = "error: ParameterUnsupportedError: strict mode has no local alignment delay parameter (requested 120.0 ms)\n"
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
+
+    def test_lag_past_sink_buffer_is_refused(self, tmp_path, capsys):
+        rc, out = self.connect_late_mic(tmp_path, "--sink-buffer-ms", "50")
+        assert rc == 2
+        assert capsys.readouterr() == ("", "error: BufferExceededError: total delay 120.0 ms exceeds sink buffer 50.0 ms\n")
+        assert not out.exists()
 
     def test_wav_over_sample_cap_is_input_error(self, tmp_path, capsys, monkeypatch):
         wav = tmp_path / "mic.wav"
@@ -737,6 +739,9 @@ class TestOutOfRangeInputs:
         header = (tmp_path / "8bit.wav").read_bytes()
         (tmp_path / "long_fmt.wav").write_bytes(header[:16] + (1 << 20).to_bytes(4, "little") + header[20:])
         (tmp_path / "empty.wav").write_bytes(b"")
+        # 80 frames of which the last 20 are cut off
+        write_wav(gen_white_noise(1, 10, 8000), tmp_path / "cut.wav")
+        (tmp_path / "cut.wav").write_bytes((tmp_path / "cut.wav").read_bytes()[:-40])
         (tmp_path / "dir.wav").mkdir()
         return tmp_path
 
@@ -798,6 +803,17 @@ class TestOutOfRangeInputs:
                 ["simulate", "--venue", str(DEMO_VENUE), "--seat", "ZZ", "--plan", "{tmp}/no_zones.json", "--out", "{tmp}/r.json"],
                 "bad plan file {tmp}/no_zones.json: plan needs at least one zone",
                 id="unknown-seat-and-bad-plan",
+            ),
+            pytest.param(
+                # -1 would otherwise wrap to seed 2**64 - 1 and share its stream
+                ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", "--seed=-1", "--out", "{tmp}/r.json"],
+                "seed must be in [0, 2**64), got -1",
+                id="negative-seed",
+            ),
+            pytest.param(
+                ["autoconnect", "--mic", f"noise:{2**64}:200:8000", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
+                f"bad synthetic signal spec 'noise:{2**64}:200:8000': seed must be in [0, 2**64), got {2**64}",
+                id="mic-seed-2-to-the-64",
             ),
             pytest.param(
                 ["simulate", "--venue", str(DEMO_VENUE), "--seat", "K1", "--sample-rate-hz=10000000000", "--out", "{tmp}/r.json"],
@@ -916,6 +932,11 @@ class TestOutOfRangeInputs:
                 id="mic-chunk-past-riff",
             ),
             pytest.param(
+                ["autoconnect", "--mic", "{tmp}/cut.wav", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
+                "bad signal source {tmp}/cut.wav: bad WAV data: the data chunk holds 60 of 80 frames",
+                id="mic-cut-wav",
+            ),
+            pytest.param(
                 ["autoconnect", "--mic", "{tmp}/dir.wav", "--stream", "A=noise:7:200:8000", "--out", "{tmp}/o.json"],
                 "cannot read signal source {tmp}/dir.wav: Is a directory",
                 id="mic-directory",
@@ -944,10 +965,13 @@ class TestOutOfRangeInputs:
     )
     def test_rejected_with_one_error_line(self, files, capsys, argv, message):
         capsys.readouterr()
-        assert main([a.format(tmp=files) for a in argv]) == 2
+        argv = [a.format(tmp=files) for a in argv]
+        assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message.format(tmp=files)}")
         assert err.count("\n") == 1
+        if "--out" in argv:
+            assert not Path(argv[argv.index("--out") + 1]).exists()
 
     @pytest.mark.skipif(sys.platform != "linux", reason="caps the address space through Linux RLIMIT_AS")
     def test_out_of_memory_is_one_error_line(self, fresh_process, tmp_path):
@@ -1070,6 +1094,8 @@ class TestFuzz:
                     out,
                 ]
                 argv += data.draw(st.sampled_from([[], ["--mode=strict"]]))
+                # forcing the tone gives a lag that a strict or small sink can refuse
+                argv += data.draw(st.sampled_from([[], ["--force-stream=B"]]))
                 for flag in ("--snr-db", "--sink-buffer-ms"):
                     if data.draw(st.booleans()):
                         argv.append(f"{flag}={data.draw(NUMBERS)}")
@@ -1078,10 +1104,12 @@ class TestFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main(argv)
+            wrote = Path(out).exists()
         assert rc in (0, 1, 2)
         if rc == 2:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+            assert not wrote
 
     @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(data=st.data())
@@ -1116,12 +1144,14 @@ class TestFuzz:
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 rc = main(argv)
+            wrote = Path(out).exists()
         assert rc in (0, 1, 2)
         if not isinstance(value, str):
             assert rc == 2  # no field takes null, a list, an object or a bool, and a str field only a string
         if rc == 2:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+            assert not wrote
 
 
 def test_exports_name_existing_public_names():

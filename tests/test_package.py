@@ -47,10 +47,11 @@ def loaded(fresh_python, code: str, *args: str, exit_code=0, **kwargs) -> dict:
         ("assert not hasattr(alsalign, '__wrapped__')", set()),
         ("alsalign.signals", {"signals", "prng"}),
         ("alsalign.planner", {"planner", "acoustics", "perception"}),
+        ("alsalign.broadcast", {"broadcast", "acoustics", "signals", "prng"}),
         ("alsalign.cli", LIBRARY | {"cli"}),
         ("assert not hasattr(alsalign, 'plan_zones')", set()),
     ],
-    ids=["import", "dunder", "signals", "planner", "cli", "plan_zones"],
+    ids=["import", "dunder", "signals", "planner", "broadcast", "cli", "plan_zones"],
 )
 def test_name_loads_its_module(fresh_python, lookup, modules):
     # no lookup loads numpy: the planning side is pure arithmetic

@@ -63,8 +63,13 @@ def test_different_seeds_differ():
     assert not np.array_equal(a, b)
 
 
-def test_seed_wraps_to_64_bits():
-    assert SplitMix64(2**64 + 5).next_u64() == SplitMix64(5).next_u64()
+def test_seed_outside_64_bits_rejected():
+    # wrapping them would give -1 the stream of 2**64 - 1, and 2**64 + 5 that of 5;
+    # both ends of [0, 2**64) are in KNOWN_STREAMS
+    for seed in (-1, 2**64, 2**64 + 5, np.int64(-1)):
+        with pytest.raises(ValueError) as exc:
+            SplitMix64(seed)
+        assert str(exc.value) == f"seed must be in [0, 2**64), got {int(seed)}"
 
 
 def test_negative_block_length_rejected():
@@ -99,3 +104,5 @@ def test_seed_that_is_not_a_whole_number_rejected(seed, shown):
 def test_white_noise_seed_is_checked():
     with pytest.raises(ValueError, match="^seed must be a whole number, got 1.5$"):
         gen_white_noise(1.5, 10, 8000)
+    with pytest.raises(ValueError, match=r"^seed must be in \[0, 2\*\*64\), got -1$"):
+        gen_white_noise(-1, 10, 8000)

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 import sys
 import tracemalloc
@@ -316,6 +317,33 @@ class TestWav:
         with pytest.raises(ValueError, match="^a 16-bit WAV header holds at most 2147483647 Hz, got 2147483648 Hz$"):
             write_wav(Signal(np.zeros(4), 2**31), path)
         assert not path.exists()
+
+    @pytest.mark.parametrize("cut, held", [(40, 60), (41, 59)], ids=["even-cut", "odd-cut"])
+    def test_short_data_chunk_rejected(self, tmp_path, cut, held):
+        # the header promises 80 frames; what is left of them is not a signal
+        path = tmp_path / "cut.wav"
+        write_wav(gen_white_noise(7, 10, 8000), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError, match=f"^bad WAV data: the data chunk holds {held} of 80 frames$"):
+            read_wav(path)
+
+    def test_cut_and_flipped_files_read_whole_or_refused(self, tmp_path):
+        # every outcome is a ValueError or exactly the frames that the header promises
+        path = tmp_path / "x.wav"
+        write_wav(gen_white_noise(7, 10, 8000), path)
+        whole = path.read_bytes()
+        rng = random.Random(19)
+        for _ in range(2000):
+            data = bytearray(whole[: rng.randrange(len(whole) + 1)] if rng.random() < 0.5 else whole)
+            for _ in range(rng.randrange(4) if data else 0):
+                data[rng.randrange(len(data))] ^= 1 << rng.randrange(8)
+            path.write_bytes(data)
+            try:
+                sig = read_wav(path)
+            except ValueError:
+                continue
+            with wave.open(str(path), "rb") as w:
+                assert len(sig) == w.getnframes(), bytes(data)
 
     def test_frame_count_over_cap_rejected_before_reading(self, tmp_path, monkeypatch):
         path = tmp_path / "long.wav"
